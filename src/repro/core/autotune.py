@@ -82,7 +82,11 @@ __all__ = [
 
 #: Store-format version; bumped whenever the meaning of a stored entry
 #: changes.  Entries written by any other version are ignored (stale).
-TUNE_STORE_VERSION = 1
+#: Version 2: the fused 1-D pass moved its staging loop into the C
+#: driver, so ``fused1d`` winners timed with the Python staging loop no
+#: longer rank the ``k_block`` candidates correctly (every entry is
+#: still bit-safe, just stale).
+TUNE_STORE_VERSION = 2
 
 #: Cache budget (bytes) the analytic model assumes one tile's working
 #: set should fit in.  CPython gives no portable cache introspection;

@@ -53,6 +53,7 @@ from repro.fft.compiled import (
     decomp_reduce,
     expand_mul,
     panel_contract,
+    panel_gemm,
 )
 from repro.fft.pruned import (
     _validate_split,
@@ -104,6 +105,12 @@ class _StagedFused1D:
     the canonical ``k_tb`` order.  The FFT and the decomposition reduce
     are row-independent, so any legal ``k_block`` produces byte-identical
     output — only the dispatch count and the staging working set change.
+
+    On the C backend :meth:`run_fused` is one FFI crossing: the whole
+    pass runs in the ``fused1d`` driver of ``_kernels.c``, bound once
+    to this staging's weights, plan tables and its *own* workspaces
+    (never a plan's shared, lock-guarded scratch).  The Python tile loop
+    below is the NumPy-substrate path; both produce the same bits.
     """
 
     def __init__(self, weight: np.ndarray, modes: int, dim_x: int,
@@ -132,12 +139,16 @@ class _StagedFused1D:
         self.k_block = kb
         self.signal_tile = signal_tile
         self.dtype = dtype
+        self.real_dtype = np.dtype(
+            np.float32 if dtype == np.complex64 else np.float64
+        )
         self.c_in = c_in
         self.c_out = c_out
         self.p = dim_x // modes
         self.plans = plans if plans is not None else current_plan_caches()
         # the hoisted weight cast: once at staging, not per tile
-        self.panels = _weight_panels(weight, k_tb, dtype)
+        self.weight = _cast_weight(weight, dtype)
+        self.panels = _weight_panels(self.weight, k_tb)
         # Consecutive same-width panels grouped per staging pass.  Only
         # the last panel can be ragged, so it always forms its own
         # (singleton) group and every other group is uniform-width.
@@ -154,6 +165,7 @@ class _StagedFused1D:
         self.inv = None
         self.wd_i = None
         self._gather = None
+        self._driver = None
 
     def _ensure_tiles(self) -> None:
         """Stage the epilogue tables and per-tile workspaces (lazily:
@@ -174,6 +186,24 @@ class _StagedFused1D:
         self._fftbuf = np.empty((rows, modes), dtype)
         self._acc = np.empty((self.signal_tile, self.c_out, modes), dtype)
         self._dec = np.empty(self.signal_tile * self.k_block * modes, dtype)
+
+    def _bound_driver(self, kernels):
+        """The C ``fused1d`` driver bound to this staging (rebound only
+        if the kernel library changes)."""
+        driver = self._driver
+        if driver is None or driver.kernels is not kernels:
+            driver = kernels.bind_fused1d(
+                weight=self.weight, tw_f=self.fwd.stage_table,
+                tw_i=self.inv.stage_table, wd_f=self.wd_f, wd_i=self.wd_i,
+                gather=self._gather, fftbuf=self._fftbuf,
+                scratch=np.empty_like(self._gather), acc=self._acc,
+                dec=self._dec, c_in=self.c_in, c_out=self.c_out,
+                dim_x=self.dim_x, modes=self.modes,
+                signal_tile=self.signal_tile, k_tb=self.k_tb,
+                k_block=self.k_block,
+            )
+            self._driver = driver
+        return driver
 
     # -- one signal tile ------------------------------------------------
 
@@ -206,8 +236,7 @@ class _StagedFused1D:
         if p > 1:
             dec = self._dec[: bt * nsub * kt * modes]
             decomp_reduce(fbuf.reshape(bt * nsub * kt, p, modes), self.wd_f,
-                          dec.reshape(bt * nsub * kt, modes),
-                          kernels=self.plans.kernels())
+                          dec.reshape(bt * nsub * kt, modes), kernels=None)
             return dec.reshape(nsub, bt, kt, modes)
         return fbuf.reshape(nsub, bt, kt, modes)
 
@@ -219,8 +248,7 @@ class _StagedFused1D:
         if p > 1:
             sc = self._gather[:rows]
             expand_mul(acc.reshape(bt * c_out, modes), self.wd_i,
-                       sc.reshape(bt * c_out, p, modes),
-                       kernels=self.plans.kernels())
+                       sc.reshape(bt * c_out, p, modes), kernels=None)
             y = self._fftbuf[:rows]
             self.inv.execute(sc, out=y, div_by=float(modes),
                              mul_by=float(modes / self.dim_x))
@@ -242,6 +270,12 @@ class _StagedFused1D:
         self._ensure_tiles()
         batch = x.shape[0]
         out = np.empty((batch, self.c_out, self.dim_x), self.dtype)
+        kernels = self.plans.kernels()
+        if kernels is not None:
+            if x.dtype != self.dtype and x.dtype != self.real_dtype:
+                x = x.astype(self.dtype)
+            self._bound_driver(kernels)(np.ascontiguousarray(x), out)
+            return out
         for b0 in range(0, batch, self.signal_tile):
             b1 = min(b0 + self.signal_tile, batch)
             acc = self._acc[: b1 - b0]
@@ -249,8 +283,7 @@ class _StagedFused1D:
             for group in self.groups:
                 a = self._forward_group(x, b0, b1, group)
                 for s, (k0, k1, wp) in enumerate(group):
-                    panel_contract(a[s], wp, acc,
-                                   kernels=self.plans.kernels())
+                    panel_contract(a[s], wp, acc, kernels=None)
             self._epilogue(acc, out, b0, b1)
         return out
 
@@ -308,13 +341,16 @@ def _project_herm_x(sk: np.ndarray, dim_x: int) -> np.ndarray:
     return sk
 
 
-def _weight_panels(weight: np.ndarray, k_tb: int, dtype: np.dtype):
-    """Pre-cast contiguous k-panels of a (C_in, C_out) weight matrix."""
-    c_in = weight.shape[0]
-    wc = weight.astype(dtype)
+def _cast_weight(weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The (C_in, C_out) weight cast once to the working dtype, C-order."""
+    return np.ascontiguousarray(weight, dtype=dtype)
+
+
+def _weight_panels(wc: np.ndarray, k_tb: int):
+    """Contiguous k-panels (row-slice views) of a cast weight matrix."""
+    c_in = wc.shape[0]
     return [
-        (k0, min(k0 + k_tb, c_in),
-         np.ascontiguousarray(wc[k0:min(k0 + k_tb, c_in)]))
+        (k0, min(k0 + k_tb, c_in), wc[k0:min(k0 + k_tb, c_in)])
         for k0 in range(0, c_in, k_tb)
     ]
 
@@ -361,8 +397,8 @@ class _StagedSymmetric1D:
     The original-FNO filter convention on real input: truncated half
     spectrum straight from the cached pruned-R2C plan (truncation fused
     into the packed-real decomposition — the discarded bins are never
-    recombined), one shared CGEMM over the kept modes (the same
-    ``panel_contract`` k-panel accumulation the fused path uses), then
+    recombined), one shared CGEMM over the kept modes (the fused
+    path's k-panel accumulation, in one ``panel_gemm`` call), then
     the pruned C2R plan synthesising from exactly those modes — the
     half spectrum is consumed end-to-end, never Hermitian-completed and
     never materialised beyond the kept bins.
@@ -386,9 +422,10 @@ class _StagedSymmetric1D:
         self.dim_x = dim_x
         self.dtype = dtype
         self.batch_tile = batch_tile  # 0 = whole batch (the default)
+        self.k_tb = k_tb
         self.c_in, self.c_out = weight.shape
         self.plans = plans if plans is not None else current_plan_caches()
-        self.panels = _weight_panels(weight, k_tb, dtype)
+        self.weight = _cast_weight(weight, dtype)
         self.rfft = self.plans.pruned_rfft(dim_x, modes, dtype)
         self.irfft = self.plans.pruned_irfft(dim_x, modes, dtype)
         _require_part(self.rfft, modes, "symmetric 1-D forward")
@@ -433,12 +470,9 @@ class _StagedSymmetric1D:
                 x, dtype=self.rfft.real_dtype
             ).reshape(batch * c_in, n)
             xk_trunc = self.rfft.execute(flat).reshape(batch, c_in, m)
-        acc = np.zeros((batch, self.c_out, m), self.dtype)
-        for (k0, k1, wp) in self.panels:
-            a = np.ascontiguousarray(
-                xk_trunc[:, k0:k1, :m], dtype=self.dtype
-            )
-            panel_contract(a, wp, acc, kernels=self.plans.kernels())
+        acc = np.empty((batch, self.c_out, m), self.dtype)
+        panel_gemm(np.ascontiguousarray(xk_trunc, dtype=self.dtype),
+                   self.weight, acc, self.k_tb, kernels=self.plans.kernels())
         out = self.irfft.execute(acc.reshape(batch * self.c_out, m))
         return out.reshape(batch, self.c_out, n)
 
@@ -475,9 +509,10 @@ class _StagedSymmetric2D:
         self.dim_y = dim_y
         self.dtype = dtype
         self.batch_tile = batch_tile  # 0 = whole batch (the default)
+        self.k_tb = k_tb
         self.c_in, self.c_out = weight.shape
         self.plans = plans if plans is not None else current_plan_caches()
-        self.panels = _weight_panels(weight, k_tb, dtype)
+        self.weight = _cast_weight(weight, dtype)
         self.rfft = self.plans.pruned_rfft(dim_y, modes_y, dtype)
         self.irfft = self.plans.pruned_irfft(dim_y, modes_y, dtype)
         _require_part(self.rfft, modes_y, "symmetric 2-D forward")
@@ -531,10 +566,9 @@ class _StagedSymmetric2D:
         a_full = np.ascontiguousarray(
             xk_trunc, dtype=self.dtype
         ).reshape(batch, c_in, mx * my)
-        acc = np.zeros((batch, self.c_out, mx * my), self.dtype)
-        for (k0, k1, wp) in self.panels:
-            a = np.ascontiguousarray(a_full[:, k0:k1])
-            panel_contract(a, wp, acc, kernels=self.plans.kernels())
+        acc = np.empty((batch, self.c_out, mx * my), self.dtype)
+        panel_gemm(a_full, self.weight, acc, self.k_tb,
+                   kernels=self.plans.kernels())
         yk = acc.reshape(batch, self.c_out, mx, my)
         y_x = padded_ifft_auto(yk, dim_x, axis=2, caches=self.plans)
         out = self.irfft.execute(
@@ -728,17 +762,17 @@ class CompiledSpectralConv1D:
         self._tuner = tuner
         self._plans = plans
         self._staged: dict[tuple, object] = {}
-        self._spec_panels: dict = {}
+        self._spec_weights: dict = {}
 
     def _plan_caches(self) -> PlanCaches:
         return self._plans if self._plans is not None else current_plan_caches()
 
-    def _spectrum_panels(self, dtype: np.dtype):
-        panels = self._spec_panels.get(dtype)
-        if panels is None:
-            panels = _weight_panels(self.weight, self.k_tb, dtype)
-            self._spec_panels[dtype] = panels
-        return panels
+    def _spectrum_weight(self, dtype: np.dtype) -> np.ndarray:
+        wc = self._spec_weights.get(dtype)
+        if wc is None:
+            wc = _cast_weight(self.weight, dtype)
+            self._spec_weights[dtype] = wc
+        return wc
 
     # -- spectrum-in / spectrum-out entry points (rollout serving) ------
 
@@ -790,10 +824,10 @@ class CompiledSpectralConv1D:
             )
         dtype = complex_dtype_for(sk.dtype)
         plans = self._plan_caches()
-        acc = np.zeros((sk.shape[0], c_out, self.modes), dtype)
-        for (k0, k1, wp) in self._spectrum_panels(dtype):
-            a = np.ascontiguousarray(sk[:, k0:k1], dtype=dtype)
-            panel_contract(a, wp, acc, kernels=plans.kernels())
+        acc = np.empty((sk.shape[0], c_out, self.modes), dtype)
+        panel_gemm(np.ascontiguousarray(sk, dtype=dtype),
+                   self._spectrum_weight(dtype), acc, self.k_tb,
+                   kernels=plans.kernels())
         return acc
 
     def inverse_spectrum(self, sk: np.ndarray, spatial) -> np.ndarray:
@@ -976,17 +1010,17 @@ class CompiledSpectralConv2D:
         self._tuner = tuner
         self._plans = plans
         self._staged: dict[tuple, object] = {}
-        self._spec_panels: dict = {}
+        self._spec_weights: dict = {}
 
     def _plan_caches(self) -> PlanCaches:
         return self._plans if self._plans is not None else current_plan_caches()
 
-    def _spectrum_panels(self, dtype: np.dtype):
-        panels = self._spec_panels.get(dtype)
-        if panels is None:
-            panels = _weight_panels(self.weight, self.k_tb, dtype)
-            self._spec_panels[dtype] = panels
-        return panels
+    def _spectrum_weight(self, dtype: np.dtype) -> np.ndarray:
+        wc = self._spec_weights.get(dtype)
+        if wc is None:
+            wc = _cast_weight(self.weight, dtype)
+            self._spec_weights[dtype] = wc
+        return wc
 
     # -- spectrum-in / spectrum-out entry points (rollout serving) ------
 
@@ -1043,10 +1077,9 @@ class CompiledSpectralConv2D:
         batch = sk.shape[0]
         m = self.modes_x * self.modes_y
         flat = np.ascontiguousarray(sk, dtype=dtype).reshape(batch, c_in, m)
-        acc = np.zeros((batch, c_out, m), dtype)
-        for (k0, k1, wp) in self._spectrum_panels(dtype):
-            a = np.ascontiguousarray(flat[:, k0:k1])
-            panel_contract(a, wp, acc, kernels=plans.kernels())
+        acc = np.empty((batch, c_out, m), dtype)
+        panel_gemm(flat, self._spectrum_weight(dtype), acc, self.k_tb,
+                   kernels=plans.kernels())
         return acc.reshape(batch, c_out, self.modes_x, self.modes_y)
 
     def inverse_spectrum(self, sk: np.ndarray, spatial) -> np.ndarray:

@@ -7,11 +7,31 @@ build, or a host whose NumPy exhibits different floating-point semantics
 all result in :func:`get_kernels` returning ``None`` and the plan layer
 falling back to the pure-NumPy execution path (same bytes, less speed).
 
+Besides the single kernels (Stockham, panel contraction, decomposition
+reduce, broadcast multiply) the library carries two drivers that cut
+the FFI crossings of one executor call to one: ``panel_gemm`` runs every
+k-panel of a spectrum-domain CGEMM, and ``fused1d`` runs the whole fused
+FFT -> CGEMM -> iFFT pass of a staged 1-D executor
+(:meth:`_Kernels.bind_fused1d` binds its static operands once and
+returns a :class:`FusedDriver`).
+
+Raw-address contract: every pointer crosses as a bare ``c_void_p``
+address, so ctypes checks nothing.  Each binding checks its operands —
+dtype, C-contiguity, and an element count covering what the kernel will
+touch given the dims it passes — and raises ``ValueError`` instead of
+letting C read out of bounds.  Plan-owned read-only tables are built as
+:class:`Table`, whose address is taken once at construction.
+
 Because the kernels promise *byte-identical* results to the legacy NumPy
-path, the loader validates them at load time: each floating-point
-recurrence (FMA complex multiply, naive sequential einsum contraction,
-chained scalar scaling) is checked against NumPy on probe data, and the
-library is rejected on any mismatch.
+path, the loader validates them at load time on named probes: each
+floating-point recurrence (FMA complex multiply, naive sequential einsum
+contraction, chained scalar scaling) against NumPy, ``panel_gemm``
+against the per-panel ``einsum`` loop, and ``fused1d`` against the
+frozen :func:`repro.core.legacy.fused_fft_gemm_ifft_1d` on tiny
+geometries covering ``p == 1``, ``p > 1``, a ragged tail panel,
+``signal_tile < batch`` (with real input) and ``k_block > k_tb``, in
+both precisions.  The library is rejected on any mismatch, and
+:func:`build_info` names the first probe that failed.
 
 Environment knobs
 -----------------
@@ -133,114 +153,377 @@ def _compile(cc: str, extra: list[str], tag: str) -> str | None:
         return None
 
 
+_addressof = ctypes.addressof
+_from_buffer = ctypes.c_char.from_buffer
+
+
+def _address(arr: np.ndarray) -> int:
+    """Raw data address of a C-contiguous array.
+
+    ``ctypes.c_char.from_buffer`` is several times cheaper than
+    ``arr.ctypes.data``; it needs a writable, non-empty buffer, so
+    read-only and empty arrays take the slow path.
+    """
+    if arr.flags.writeable and arr.size:
+        return _addressof(_from_buffer(arr))
+    return arr.ctypes.data
+
+
+class Table(np.ndarray):
+    """A plan-owned read-only table whose address is taken once.
+
+    Twiddle and decomposition tables live as long as their plan and
+    never move, so plans build them as ``Table`` (a frozen ndarray) and
+    every kernel call reuses the cached address instead of paying for a
+    fresh lookup.  Views of a table carry no address and are looked up
+    like any other operand.
+    """
+
+    address = None
+
+    def __new__(cls, array):
+        table = np.ascontiguousarray(array).view(cls)
+        table.setflags(write=False)
+        table.address = table.ctypes.data
+        return table
+
+
+def _operand(arr, dtype: np.dtype, need: int, name: str) -> int:
+    """Check one kernel operand and return its raw address.
+
+    Raw ``c_void_p`` arguments carry no type or bounds, so every
+    operand is checked here against what the kernel will touch: the
+    working dtype, C-contiguity, and at least ``need`` elements.  A
+    mismatch raises ``ValueError`` instead of reading out of bounds.
+    """
+    if not isinstance(arr, np.ndarray):
+        raise ValueError(f"{name}: expected an ndarray, got {type(arr)!r}")
+    if arr.dtype != dtype:
+        raise ValueError(
+            f"{name}: expected {dtype.name}, got {arr.dtype.name}"
+        )
+    if not arr.flags.c_contiguous:
+        raise ValueError(f"{name}: operand is not C-contiguous")
+    if arr.size < need:
+        raise ValueError(
+            f"{name}: needs {need} elements, operand has {arr.size}"
+        )
+    if type(arr) is Table and arr.address is not None:
+        return arr.address
+    return _address(arr)
+
+
+_COMPLEX = (np.dtype(np.complex64), np.dtype(np.complex128))
+_REAL_OF = {np.dtype(np.complex64): np.dtype(np.float32),
+            np.dtype(np.complex128): np.dtype(np.float64)}
+
+
+def _working_dtype(arr, name: str) -> np.dtype:
+    dtype = getattr(arr, "dtype", None)
+    if dtype not in _COMPLEX:
+        raise ValueError(
+            f"{name}: kernels run on complex64/complex128, got {dtype}"
+        )
+    return dtype
+
+
+class _Fused1DPlan(ctypes.Structure):
+    """Mirror of ``fused1d_plan`` in ``_kernels.c``."""
+
+    _fields_ = (
+        [(f, ctypes.c_long) for f in ("c_in", "c_out", "dim_x", "modes",
+                                      "signal_tile", "k_tb", "k_block")]
+        + [(f, ctypes.c_void_p) for f in ("w", "tw_f", "tw_i", "wd_f",
+                                          "wd_i", "gather", "fftbuf",
+                                          "scratch", "acc", "dec")]
+    )
+
+
+class FusedDriver:
+    """One staged fused 1-D pass bound to the C driver.
+
+    Built by :meth:`_Kernels.bind_fused1d`, which checks every static
+    operand once; a call checks only the input and the output and
+    crosses the FFI exactly once.  Holds references to every bound
+    array, so the addresses in the plan struct stay valid.
+    """
+
+    def __init__(self, kernels: "_Kernels", fn, dtype: np.dtype,
+                 plan: _Fused1DPlan, keep: tuple):
+        self.kernels = kernels
+        self._fn = fn
+        self._dtype = dtype
+        self._real = _REAL_OF[dtype]
+        self._plan = plan
+        self._plan_addr = ctypes.addressof(plan)
+        self._keep = keep
+        self._c_in = plan.c_in
+        self._c_out = plan.c_out
+        self._dim_x = plan.dim_x
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
+        """``out[...]`` = the fused pass over ``x`` — a C-contiguous
+        ``(batch, C_in, X)`` array of the working complex dtype or its
+        real component dtype; ``out`` is ``(batch, C_out, X)``."""
+        if x.ndim != 3 or x.shape[1:] != (self._c_in, self._dim_x):
+            raise ValueError(
+                f"x: expected (batch, {self._c_in}, {self._dim_x}), "
+                f"got {x.shape}"
+            )
+        batch = x.shape[0]
+        x_complex = x.dtype == self._dtype
+        xa = _operand(x, self._dtype if x_complex else self._real,
+                      batch * self._c_in * self._dim_x, "x")
+        oa = _operand(out, self._dtype,
+                      batch * self._c_out * self._dim_x, "out")
+        self._fn(xa, int(x_complex), batch, oa, self._plan_addr)
+
+
 class _Kernels:
-    """ctypes bindings for one loaded kernel library."""
+    """ctypes bindings for one loaded kernel library.
+
+    Every pointer crosses as a raw ``c_void_p`` address; each method
+    checks its operands (dtype, C-contiguity, element count against the
+    dims it passes) before calling in — see :func:`_operand`.
+    """
 
     def __init__(self, lib_path: str, variant: str):
         lib = ctypes.CDLL(lib_path)
         self.path = lib_path
         self.variant = variant
         self._fn = {}
-        for suffix, ct in (("f32", ctypes.c_float), ("f64", ctypes.c_double)):
-            ptr = ctypes.POINTER(ct)
-            fn = getattr(lib, f"stockham_{suffix}")
-            fn.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_long, ctypes.c_long,
-                           ctypes.c_int, ct, ctypes.c_int, ct]
-            fn.restype = None
-            self._fn["stockham", suffix] = (fn, ptr, ct)
-            for name, nlong in (("panel_contract", 4), ("decomp_reduce", 3),
-                                ("expand_mul", 3)):
+        vp, lg = ctypes.c_void_p, ctypes.c_long
+        for dtype, suffix, ct in (
+            (np.dtype(np.complex64), "f32", ctypes.c_float),
+            (np.dtype(np.complex128), "f64", ctypes.c_double),
+        ):
+            signatures = {
+                "stockham": [vp, vp, vp, vp, lg, lg,
+                             ctypes.c_int, ct, ctypes.c_int, ct],
+                "panel_contract": [vp, vp, vp] + [lg] * 4,
+                "panel_gemm": [vp, vp, vp] + [lg] * 5,
+                "decomp_reduce": [vp, vp, vp] + [lg] * 3,
+                "expand_mul": [vp, vp, vp] + [lg] * 3,
+                "fused1d": [vp, ctypes.c_int, lg, vp, vp],
+            }
+            for name, argtypes in signatures.items():
                 fn = getattr(lib, f"{name}_{suffix}")
-                fn.argtypes = [ptr, ptr, ptr] + [ctypes.c_long] * nlong
+                fn.argtypes = argtypes
                 fn.restype = None
-                self._fn[name, suffix] = (fn, ptr, ct)
+                self._fn[name, dtype] = fn
 
-    @staticmethod
-    def _suffix(dtype: np.dtype) -> str:
-        return "f32" if dtype == np.complex64 else "f64"
-
-    def _p(self, arr: np.ndarray, ptr_type):
-        return arr.ctypes.data_as(ptr_type)
-
-    def stockham(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
-                 tw: np.ndarray, rows: int, n: int,
+    def stockham(self, x, out, scratch, tw, rows: int, n: int,
                  div_by: float | None, mul_by: float | None) -> None:
-        fn, ptr, ct = self._fn["stockham", self._suffix(x.dtype)]
-        fn(self._p(x, ptr), self._p(out, ptr), self._p(scratch, ptr),
-           self._p(tw, ptr), rows, n,
-           int(div_by is not None), ct(div_by if div_by is not None else 0),
-           int(mul_by is not None), ct(mul_by if mul_by is not None else 0))
+        dt = _working_dtype(x, "x")
+        size = rows * n
+        self._fn["stockham", dt](
+            _operand(x, dt, size, "x"), _operand(out, dt, size, "out"),
+            _operand(scratch, dt, size, "scratch"),
+            _operand(tw, dt, n - 1, "tw"), rows, n,
+            int(div_by is not None), div_by if div_by is not None else 0.0,
+            int(mul_by is not None), mul_by if mul_by is not None else 0.0,
+        )
 
-    def panel_contract(self, a: np.ndarray, w: np.ndarray, acc: np.ndarray,
-                       bt: int, kt: int, m: int, o: int) -> None:
-        fn, ptr, _ = self._fn["panel_contract", self._suffix(a.dtype)]
-        fn(self._p(a, ptr), self._p(w, ptr), self._p(acc, ptr), bt, kt, m, o)
+    def panel_contract(self, a, w, acc, bt: int, kt: int, m: int,
+                       o: int) -> None:
+        dt = _working_dtype(a, "a")
+        self._fn["panel_contract", dt](
+            _operand(a, dt, bt * kt * m, "a"), _operand(w, dt, kt * o, "w"),
+            _operand(acc, dt, bt * o * m, "acc"), bt, kt, m, o,
+        )
 
-    def decomp_reduce(self, y: np.ndarray, wd: np.ndarray, out: np.ndarray,
-                      batch: int, p: int, q: int) -> None:
-        fn, ptr, _ = self._fn["decomp_reduce", self._suffix(y.dtype)]
-        fn(self._p(y, ptr), self._p(wd, ptr), self._p(out, ptr), batch, p, q)
+    def panel_gemm(self, a, w, acc, batch: int, c_in: int, m: int, o: int,
+                   k_tb: int) -> None:
+        if k_tb < 1:
+            raise ValueError(f"k_tb must be positive, got {k_tb}")
+        dt = _working_dtype(a, "a")
+        self._fn["panel_gemm", dt](
+            _operand(a, dt, batch * c_in * m, "a"),
+            _operand(w, dt, c_in * o, "w"),
+            _operand(acc, dt, batch * o * m, "acc"),
+            batch, c_in, m, o, k_tb,
+        )
 
-    def expand_mul(self, x: np.ndarray, w: np.ndarray, out: np.ndarray,
-                   batch: int, s: int, q: int) -> None:
-        fn, ptr, _ = self._fn["expand_mul", self._suffix(x.dtype)]
-        fn(self._p(x, ptr), self._p(w, ptr), self._p(out, ptr), batch, s, q)
+    def decomp_reduce(self, y, wd, out, batch: int, p: int, q: int) -> None:
+        dt = _working_dtype(y, "y")
+        self._fn["decomp_reduce", dt](
+            _operand(y, dt, batch * p * q, "y"),
+            _operand(wd, dt, p * q, "wd"),
+            _operand(out, dt, batch * q, "out"), batch, p, q,
+        )
+
+    def expand_mul(self, x, w, out, batch: int, s: int, q: int) -> None:
+        dt = _working_dtype(x, "x")
+        self._fn["expand_mul", dt](
+            _operand(x, dt, batch * q, "x"), _operand(w, dt, s * q, "w"),
+            _operand(out, dt, batch * s * q, "out"), batch, s, q,
+        )
+
+    def bind_fused1d(self, *, weight, tw_f, tw_i, wd_f, wd_i, gather,
+                     fftbuf, scratch, acc, dec, c_in: int, c_out: int,
+                     dim_x: int, modes: int, signal_tile: int, k_tb: int,
+                     k_block: int) -> FusedDriver:
+        """Check a staged fused 1-D pass's static operands once and bind
+        them to the C driver (see ``fused1d_plan`` in ``_kernels.c``).
+        ``wd_f``/``wd_i`` are ``None`` when ``modes == dim_x``."""
+        if modes < 1 or modes & (modes - 1) or dim_x % modes:
+            raise ValueError(
+                f"modes={modes} must be a power of two dividing X={dim_x}"
+            )
+        if signal_tile < 1 or k_tb < 1 or k_block < k_tb or k_block % k_tb:
+            raise ValueError(
+                f"bad tiling signal_tile={signal_tile}, k_tb={k_tb}, "
+                f"k_block={k_block}"
+            )
+        dt = _working_dtype(weight, "weight")
+        p = dim_x // modes
+        ws = signal_tile * max(k_block, c_out) * p * modes
+        plan = _Fused1DPlan(
+            c_in, c_out, dim_x, modes, signal_tile, k_tb, k_block,
+            _operand(weight, dt, c_in * c_out, "weight"),
+            _operand(tw_f, dt, modes - 1, "tw_f"),
+            _operand(tw_i, dt, modes - 1, "tw_i"),
+            _operand(wd_f, dt, p * modes, "wd_f") if p > 1 else None,
+            _operand(wd_i, dt, p * modes, "wd_i") if p > 1 else None,
+            _operand(gather, dt, ws, "gather"),
+            _operand(fftbuf, dt, ws, "fftbuf"),
+            _operand(scratch, dt, ws, "scratch"),
+            _operand(acc, dt, signal_tile * c_out * modes, "acc"),
+            _operand(dec, dt, signal_tile * k_block * modes, "dec")
+            if p > 1 else None,
+        )
+        keep = (weight, tw_f, tw_i, wd_f, wd_i, gather, fftbuf, scratch,
+                acc, dec)
+        return FusedDriver(self, self._fn["fused1d", dt], dt, plan, keep)
 
 
-def _self_check(k: _Kernels) -> bool:
-    """Validate every kernel's FP semantics against NumPy on probe data.
+def _bits_equal(ref: np.ndarray, got: np.ndarray) -> bool:
+    return ref.dtype == got.dtype and np.array_equal(
+        ref.view(ref.real.dtype), got.view(got.real.dtype)
+    )
 
-    The promise of the compiled layer is byte identity with the NumPy
-    path; any deviation (a toolchain that contracts differently, a NumPy
-    build with different complex-multiply loops) must disable it.
-    """
+
+#: The fused-driver probes: (label, batch, c_in, c_out, dim_x, modes,
+#: k_tb, signal_tile, k_block, real input).  Tiny geometries, each
+#: pinning down one branch of the driver's index arithmetic.
+_FUSED_PROBES = (
+    ("p==1", 2, 4, 3, 8, 8, 2, 4, 2, False),
+    ("p>1", 2, 4, 3, 16, 4, 2, 4, 2, False),
+    ("ragged tail", 2, 5, 3, 16, 4, 2, 4, 2, False),
+    ("signal_tile<batch", 5, 3, 2, 16, 8, 2, 2, 2, True),
+    ("k_block>k_tb", 3, 7, 3, 16, 4, 2, 2, 4, False),
+)
+
+
+def _stage_table(n: int, dtype, inverse: bool) -> np.ndarray:
+    """The concatenated Stockham stage twiddles of a length-``n`` plan."""
+    from repro.fft.compiled import CompiledFFTPlan
+
+    return CompiledFFTPlan(n, dtype, inverse, backend="numpy").stage_table
+
+
+def _fused_probe(k: _Kernels, dtype, rng, batch, c_in, c_out, dim_x,
+                 modes, k_tb, signal_tile, k_block, real) -> bool:
+    """The C driver against the frozen legacy fused loop."""
+    from repro.core.legacy import fused_fft_gemm_ifft_1d
+    from repro.fft.twiddle import decomposition_twiddles
+
+    dtype = np.dtype(dtype)
+    x = rng.standard_normal((batch, c_in, dim_x))
+    if real:
+        x = x.astype(_REAL_OF[dtype])
+    else:
+        x = (x + 1j * rng.standard_normal(x.shape)).astype(dtype)
+    w = (rng.standard_normal((c_in, c_out))
+         + 1j * rng.standard_normal((c_in, c_out))).astype(dtype)
+    ref = fused_fft_gemm_ifft_1d(x, w, modes, k_tb=k_tb,
+                                 signal_tile=signal_tile)
+    p = dim_x // modes
+    wd = [np.ascontiguousarray(decomposition_twiddles(
+        dim_x, p, modes, inverse=inv).astype(dtype)) if p > 1 else None
+        for inv in (False, True)]
+    rows = signal_tile * max(k_block, c_out) * p
+    driver = k.bind_fused1d(
+        weight=w, tw_f=_stage_table(modes, dtype, False),
+        tw_i=_stage_table(modes, dtype, True), wd_f=wd[0], wd_i=wd[1],
+        gather=np.empty((rows, modes), dtype),
+        fftbuf=np.empty((rows, modes), dtype),
+        scratch=np.empty((rows, modes), dtype),
+        acc=np.empty((signal_tile, c_out, modes), dtype),
+        dec=np.empty(signal_tile * k_block * modes, dtype),
+        c_in=c_in, c_out=c_out, dim_x=dim_x, modes=modes,
+        signal_tile=signal_tile, k_tb=k_tb, k_block=k_block,
+    )
+    got = np.empty((batch, c_out, dim_x), dtype)
+    driver(x, got)
+    return _bits_equal(ref, got)
+
+
+def _probes(k: _Kernels):
+    """Yield ``(name, passed)`` for every self-check probe, in order."""
+    from repro.fft.legacy import _stockham_last_axis
+
     rng = np.random.default_rng(0xC0FFEE)
-    for dtype in (np.complex64, np.complex128):
+    for dtype, sfx in ((np.complex64, "f32"), (np.complex128, "f64")):
         cplx = lambda *s: (
             rng.standard_normal(s) + 1j * rng.standard_normal(s)
         ).astype(dtype)
-        # stockham: one span-4 stage of a 2-point pre-transformed array is
-        # awkward to probe in isolation; instead run a full length-8 FFT
-        # against the legacy NumPy stage loop.
-        from repro.fft.legacy import _stockham_last_axis
-
+        # A full length-8 FFT against the legacy NumPy stage loop, with
+        # the chained /div_by, *mul_by scalings of the final stage.
         x = cplx(5, 8)
         ref = _stockham_last_axis(x, inverse=False)
         ref = ref / 8
         ref = ref * 0.5
-        tw = np.concatenate(
-            [np.exp(-2j * np.pi * np.arange(h) / (2 * h)).astype(dtype)
-             for h in (1, 2, 4)]
-        )
-        # the forward reference above divides/multiplies after the loop,
-        # matching the chained-scale path of the kernel
         out = np.empty_like(x)
-        scratch = np.empty_like(x)
-        k.stockham(x, out, scratch, np.ascontiguousarray(tw), 5, 8, 8.0, 0.5)
-        if not np.array_equal(ref.view(ref.real.dtype), out.view(out.real.dtype)):
-            return False
+        k.stockham(x, out, np.empty_like(x), _stage_table(8, dtype, False),
+                   5, 8, 8.0, 0.5)
+        yield f"stockham {sfx}", _bits_equal(ref, out)
         # panel contract == acc += einsum
         a, w, acc0 = cplx(3, 4, 6), cplx(4, 5), cplx(3, 5, 6)
         ref = acc0 + np.einsum("bkm,ko->bom", a, w)
         got = acc0.copy()
         k.panel_contract(a, w, got, 3, 4, 6, 5)
-        if not np.array_equal(ref.view(ref.real.dtype), got.view(got.real.dtype)):
-            return False
+        yield f"panel_contract {sfx}", _bits_equal(ref, got)
+        # panel gemm == zeros, then the per-panel einsum loop (ragged
+        # tail panel included)
+        a, w = cplx(3, 7, 5), cplx(7, 4)
+        ref = np.zeros((3, 4, 5), dtype)
+        for k0 in range(0, 7, 3):
+            ref += np.einsum("bkm,ko->bom",
+                             np.ascontiguousarray(a[:, k0:k0 + 3]),
+                             w[k0:k0 + 3])
+        got = np.full((3, 4, 5), np.nan, dtype)
+        k.panel_gemm(a, w, got, 3, 7, 5, 4, 3)
+        yield f"panel_gemm {sfx}", _bits_equal(ref, got)
         # decomp reduce == einsum "...pk,pk->...k"
         y, wd = cplx(4, 3, 6), cplx(3, 6)
         ref = np.einsum("...pk,pk->...k", y, wd)
         got = np.empty((4, 6), dtype)
         k.decomp_reduce(y, wd, got, 4, 3, 6)
-        if not np.array_equal(ref.view(ref.real.dtype), got.view(got.real.dtype)):
-            return False
+        yield f"decomp_reduce {sfx}", _bits_equal(ref, got)
         # expand mul == x[..., None, :] * w
         x2, w2 = cplx(4, 6), cplx(3, 6)
         ref = x2[..., None, :] * w2
         got = np.empty((4, 3, 6), dtype)
         k.expand_mul(x2, w2, got, 4, 3, 6)
-        if not np.array_equal(ref.view(ref.real.dtype), got.view(got.real.dtype)):
-            return False
-    return True
+        yield f"expand_mul {sfx}", _bits_equal(ref, got)
+        for label, *geometry in _FUSED_PROBES:
+            yield (f"fused1d {sfx} {label}",
+                   _fused_probe(k, dtype, rng, *geometry))
+
+
+def _self_check(k: _Kernels) -> str | None:
+    """Validate every kernel's FP semantics against NumPy on probe data.
+
+    The promise of the compiled layer is byte identity with the NumPy
+    path; any deviation (a toolchain that contracts differently, a NumPy
+    build with different complex-multiply loops) must disable it.
+    Returns the name of the first failing probe, or None when all pass.
+    """
+    for name, passed in _probes(k):
+        if not passed:
+            return name
+    return None
 
 
 def get_kernels() -> _Kernels | None:
@@ -275,11 +558,14 @@ def get_kernels() -> _Kernels | None:
             kernels = _Kernels(lib_path, tag)
         except OSError:
             continue
-        if _self_check(kernels):
+        failed = _self_check(kernels)
+        if failed is None:
             _state["kernels"] = kernels
             _state["info"] = f"loaded ({tag}) from {lib_path}"
             return kernels
-        _state["info"] = f"variant {tag} failed the bit-exactness self-check"
+        _state["info"] = (
+            f"variant {tag} failed self-check probe {failed!r}"
+        )
     return _state["kernels"]
 
 

@@ -13,12 +13,35 @@
  *                                index summed sequentially from zero.
  *   - scalar /= and *=         : independent per-component ops.
  *
+ * Two drivers compose those kernels so one executor call crosses the
+ * FFI once instead of once per kernel:
+ *
+ *   - panel_gemm : every k_tb-wide panel contraction of a (batch, C_in,
+ *                  m) spectrum, in canonical panel order (the symmetric
+ *                  executors and the spectrum-resident rollout step).
+ *   - fused1d    : the whole fused FFT -> CGEMM -> iFFT pass of
+ *                  repro.core.compiled._StagedFused1D.run_fused -- tile
+ *                  loop, grouped gather, Stockham, decomp_reduce, panel
+ *                  contractions, expand_mul, inverse Stockham with the
+ *                  chained scalings, interleaving scatter -- calling the
+ *                  kernels above in exactly the Python driver's order,
+ *                  so the bits do not change.  Its static operands
+ *                  (weights, twiddle tables, executor-owned workspaces)
+ *                  travel in one fused1d_plan struct built at staging.
+ *
+ * Raw-address contract: every pointer argument is a bare address
+ * (ctypes c_void_p).  No type, layout or bounds information crosses the
+ * boundary, so the Python bindings check each operand's dtype,
+ * C-contiguity and element count against the dims they pass and raise
+ * ValueError before calling in; nothing here re-checks.
+ *
  * The file is compiled with -ffp-contract=off and WITHOUT -mfma: GCC's
  * vectorizer introduces FMAs into plain expressions whenever the FMA ISA
  * is enabled globally (even under -ffp-contract=off), which would break
  * the einsum replicas.  The kernels that *need* FMA semantics opt in
  * per-function via the target attribute when REPRO_TARGET_FMA is set.
- * repro.fft._ckernels self-checks every pattern against NumPy at load
+ * repro.fft._ckernels self-checks every kernel and both drivers against
+ * NumPy (and fused1d against repro.core.legacy) on named probes at load
  * time and refuses the library if the host toolchain deviates.
  */
 
@@ -111,50 +134,91 @@ STOCKHAM(stockham_f64, double, fma)
 
 /* acc[b,o,m] += sum_k a[b,k,m] * w[k,o]
  * == `acc += np.einsum("bkm,ko->bom", a, w)`: the panel sum is formed
- * from zero with naive rounded products, then added into acc. */
-#define PANEL_CONTRACT(NAME, T)                                          \
-void NAME(const T* a, const T* w, T* acc,                                \
-          long bt, long kt, long m, long o) {                            \
+ * from zero with naive rounded products, then added into acc.  a_bs is
+ * the batch stride of `a` in complex elements (kt*m when contiguous).
+ * The sums of up to PANEL_CHUNK consecutive modes are carried together
+ * in local accumulators, so the innermost loop runs along contiguous
+ * modes; every sum still adds its products in k order, from zero. */
+#define PANEL_CHUNK 64
+#define PANEL_ACC(NAME, T)                                               \
+static void NAME(const T* a, long a_bs, const T* w, T* acc,              \
+                 long bt, long kt, long m, long o) {                     \
+    T tr[PANEL_CHUNK], ti[PANEL_CHUNK];                                  \
     for (long b = 0; b < bt; b++) {                                      \
-        const T* ab = a + 2*b*kt*m;                                      \
-        T* accb = acc + 2*b*o*m;                                         \
+        const T* ab = a + 2*b*a_bs;                                      \
         for (long oo = 0; oo < o; oo++) {                                \
-            T* accp = accb + 2*oo*m;                                     \
-            for (long mm = 0; mm < m; mm++) {                            \
-                T tr = 0, ti = 0;                                        \
+            T* accp = acc + 2*(b*o + oo)*m;                              \
+            for (long m0 = 0; m0 < m; m0 += PANEL_CHUNK) {               \
+                const long cm = m - m0 < PANEL_CHUNK ? m - m0            \
+                                                     : PANEL_CHUNK;      \
+                for (long mm = 0; mm < cm; mm++) tr[mm] = ti[mm] = 0;    \
                 for (long k = 0; k < kt; k++) {                          \
-                    const T* ap = ab + 2*(k*m + mm);                     \
-                    T wr = w[2*(k*o+oo)], wi = w[2*(k*o+oo)+1];          \
-                    T ar = ap[0], ai = ap[1];                            \
-                    tr += ar*wr - ai*wi;                                 \
-                    ti += ar*wi + ai*wr;                                 \
+                    const T wr = w[2*(k*o+oo)], wi = w[2*(k*o+oo)+1];    \
+                    const T* ap = ab + 2*(k*m + m0);                     \
+                    for (long mm = 0; mm < cm; mm++) {                   \
+                        T ar = ap[2*mm], ai = ap[2*mm+1];                \
+                        tr[mm] += ar*wr - ai*wi;                         \
+                        ti[mm] += ar*wi + ai*wr;                         \
+                    }                                                    \
                 }                                                        \
-                accp[2*mm]   += tr;                                      \
-                accp[2*mm+1] += ti;                                      \
+                for (long mm = 0; mm < cm; mm++) {                       \
+                    accp[2*(m0+mm)]   += tr[mm];                         \
+                    accp[2*(m0+mm)+1] += ti[mm];                         \
+                }                                                        \
             }                                                            \
         }                                                                \
     }                                                                    \
 }
 
-PANEL_CONTRACT(panel_contract_f32, float)
-PANEL_CONTRACT(panel_contract_f64, double)
+PANEL_ACC(panel_acc_f32, float)
+PANEL_ACC(panel_acc_f64, double)
+
+void panel_contract_f32(const float* a, const float* w, float* acc,
+                        long bt, long kt, long m, long o) {
+    panel_acc_f32(a, kt*m, w, acc, bt, kt, m, o);
+}
+
+void panel_contract_f64(const double* a, const double* w, double* acc,
+                        long bt, long kt, long m, long o) {
+    panel_acc_f64(a, kt*m, w, acc, bt, kt, m, o);
+}
+
+/* acc[b,o,m] = sum over k_tb-wide panels, in order, of the panel sums
+ * == `acc = 0; for k0: acc += einsum("bkm,ko->bom", a[:, k0:k1],
+ * w[k0:k1])` over a (batch, c_in, m) spectrum: every k-panel of a
+ * spectrum-domain CGEMM in one call. */
+#define PANEL_GEMM(NAME, T, ACC)                                         \
+void NAME(const T* a, const T* w, T* acc, long batch, long c_in,         \
+          long m, long o, long k_tb) {                                   \
+    for (long i = 0; i < 2*batch*o*m; i++) acc[i] = 0;                   \
+    for (long k0 = 0; k0 < c_in; k0 += k_tb) {                           \
+        long kt = c_in - k0 < k_tb ? c_in - k0 : k_tb;                   \
+        ACC(a + 2*k0*m, c_in*m, w + 2*k0*o, acc, batch, kt, m, o);       \
+    }                                                                    \
+}
+
+PANEL_GEMM(panel_gemm_f32, float, panel_acc_f32)
+PANEL_GEMM(panel_gemm_f64, double, panel_acc_f64)
 
 /* out[B,q] = sum_p y[B,p,q] * wd[p,q]
- * == `np.einsum("...pk,pk->...k", y, wd)`. */
+ * == `np.einsum("...pk,pk->...k", y, wd)`.  Each out[b,k] is formed
+ * from zero and summed in p order; the p loop runs outermost so the
+ * innermost loop walks contiguous k. */
 #define DECOMP_REDUCE(NAME, T)                                           \
 void NAME(const T* y, const T* wd, T* out, long B, long p, long q) {     \
     for (long b = 0; b < B; b++) {                                       \
         const T* yb = y + 2*b*p*q;                                       \
         T* ob = out + 2*b*q;                                             \
-        for (long k = 0; k < q; k++) {                                   \
-            T tr = 0, ti = 0;                                            \
-            for (long pp = 0; pp < p; pp++) {                            \
-                T yr = yb[2*(pp*q+k)], yi = yb[2*(pp*q+k)+1];            \
-                T wr = wd[2*(pp*q+k)], wi = wd[2*(pp*q+k)+1];            \
-                tr += yr*wr - yi*wi;                                     \
-                ti += yr*wi + yi*wr;                                     \
+        for (long k = 0; k < 2*q; k++) ob[k] = 0;                        \
+        for (long pp = 0; pp < p; pp++) {                                \
+            const T* yp = yb + 2*pp*q;                                   \
+            const T* wp = wd + 2*pp*q;                                   \
+            for (long k = 0; k < q; k++) {                               \
+                T yr = yp[2*k], yi = yp[2*k+1];                          \
+                T wr = wp[2*k], wi = wp[2*k+1];                          \
+                ob[2*k]   += yr*wr - yi*wi;                              \
+                ob[2*k+1] += yr*wi + yi*wr;                              \
             }                                                            \
-            ob[2*k] = tr; ob[2*k+1] = ti;                                \
         }                                                                \
     }                                                                    \
 }
@@ -190,3 +254,119 @@ FMA_TARGET void NAME(const T* x, const T* w, T* out,                     \
 
 EXPAND_MUL(expand_mul_f32, float, fmaf)
 EXPAND_MUL(expand_mul_f64, double, fma)
+
+/* ------------------------------------------------------------------ */
+/* Fused 1-D driver: FFT -> CGEMM -> iFFT in one FFI crossing           */
+/* ------------------------------------------------------------------ */
+
+/* Static operands of one staged fused 1-D pass (dims in elements,
+ * buffers complex interleaved of the driver's precision).  Built once
+ * per staging by the Python binding, which checked every size:
+ *   w        (c_in, c_out)                 the cast weight, whose row
+ *                                          slices are the k-panels
+ *   tw_f/i   modes - 1                     forward/inverse stage tables
+ *   wd_f/i   (p, modes), NULL when p == 1  decomposition twiddles
+ *   gather, fftbuf, scratch  signal_tile * max(k_block, c_out) * p
+ *                            rows of modes (ping-pong workspaces)
+ *   acc      (signal_tile, c_out, modes)   the C tile
+ *   dec      signal_tile * k_block * modes (decomp_reduce output)
+ * with p = dim_x / modes.  The workspaces belong to the executor, never
+ * to a shared plan, so no plan lock is needed around the call. */
+typedef struct {
+    long c_in, c_out, dim_x, modes, signal_tile, k_tb, k_block;
+    const void *w, *tw_f, *tw_i, *wd_f, *wd_i;
+    void *gather, *fftbuf, *scratch, *acc, *dec;
+} fused1d_plan;
+
+/* out[batch, c_out, dim_x] = the fused pass over x[batch, c_in, dim_x]
+ * (real T when x_complex == 0, complex interleaved otherwise).  Panels
+ * are staged in groups of up to k_block / k_tb consecutive full-width
+ * panels; a ragged tail panel (c_in % k_tb) forms its own group.  The
+ * gather, FFT and decomp_reduce are row-independent, so grouping moves
+ * operands only; the panels are contracted in canonical order. */
+#define FUSED1D(NAME, T, STOCKHAM_FN, DECOMP_FN, EXPAND_FN, ACC)          \
+void NAME(const T* x, int x_complex, long batch, T* out,                 \
+          const fused1d_plan* pl) {                                      \
+    const long c_in = pl->c_in, c_out = pl->c_out, dim_x = pl->dim_x;    \
+    const long modes = pl->modes, k_tb = pl->k_tb;                       \
+    const long p = dim_x / modes;                                        \
+    const long nfull = c_in / k_tb, tail = c_in % k_tb;                  \
+    const long npg = pl->k_block / k_tb;                                 \
+    const T* w = (const T*)pl->w;                                        \
+    const T* tw_f = (const T*)pl->tw_f;                                  \
+    const T* tw_i = (const T*)pl->tw_i;                                  \
+    const T* wd_f = (const T*)pl->wd_f;                                  \
+    const T* wd_i = (const T*)pl->wd_i;                                  \
+    T* gat = (T*)pl->gather;                                             \
+    T* fbuf = (T*)pl->fftbuf;                                            \
+    T* scr = (T*)pl->scratch;                                            \
+    T* acc = (T*)pl->acc;                                                \
+    T* dec = (T*)pl->dec;                                                \
+    for (long b0 = 0; b0 < batch; b0 += pl->signal_tile) {               \
+        const long bt = batch - b0 < pl->signal_tile                     \
+                        ? batch - b0 : pl->signal_tile;                  \
+        for (long i = 0; i < 2*bt*c_out*modes; i++) acc[i] = 0;          \
+        for (long g0 = 0; g0 < nfull + (tail > 0); ) {                   \
+            long nsub = 1, kt = tail;                                    \
+            if (g0 < nfull) {                                            \
+                nsub = nfull - g0 < npg ? nfull - g0 : npg;              \
+                kt = k_tb;                                               \
+            }                                                            \
+            const long k0 = g0 * k_tb;                                   \
+            /* gat[s, b, k, pp, m] = x[b0+b, k0 + s*kt + k, m*p + pp] */ \
+            for (long s = 0; s < nsub; s++)                              \
+            for (long b = 0; b < bt; b++)                                \
+            for (long k = 0; k < kt; k++) {                              \
+                const long xr = ((b0+b)*c_in + k0 + s*kt + k) * dim_x;   \
+                T* g = gat + 2*((s*bt + b)*kt + k)*p*modes;              \
+                for (long pp = 0; pp < p; pp++)                          \
+                for (long mm = 0; mm < modes; mm++) {                    \
+                    const long xi = xr + mm*p + pp;                      \
+                    T* gp = g + 2*(pp*modes + mm);                       \
+                    if (x_complex) {                                     \
+                        gp[0] = x[2*xi]; gp[1] = x[2*xi+1];              \
+                    } else {                                             \
+                        gp[0] = x[xi]; gp[1] = 0;                        \
+                    }                                                    \
+                }                                                        \
+            }                                                            \
+            const long rows = nsub * bt * kt;                            \
+            STOCKHAM_FN(gat, fbuf, scr, tw_f, rows * p, modes,           \
+                        0, 0, 0, 0);                                     \
+            const T* a = fbuf;                                           \
+            if (p > 1) {                                                 \
+                DECOMP_FN(fbuf, wd_f, dec, rows, p, modes);              \
+                a = dec;                                                 \
+            }                                                            \
+            for (long s = 0; s < nsub; s++)                              \
+                ACC(a + 2*s*bt*kt*modes, kt*modes,                       \
+                    w + 2*(k0 + s*kt)*c_out, acc, bt, kt, modes, c_out); \
+            g0 += nsub;                                                  \
+        }                                                                \
+        /* epilogue: pruned inverse of the C tile */                     \
+        T* ob = out + 2*b0*c_out*dim_x;                                  \
+        if (p > 1) {                                                     \
+            EXPAND_FN(acc, wd_i, gat, bt*c_out, p, modes);               \
+            STOCKHAM_FN(gat, fbuf, scr, tw_i, bt*c_out*p, modes,         \
+                        1, (T)modes, 1, (T)((double)modes/(double)dim_x)); \
+            /* ob[b, c, m*p + pp] = fbuf[b, c, pp, m] */                 \
+            for (long r = 0; r < bt*c_out; r++) {                        \
+                const T* y = fbuf + 2*r*p*modes;                         \
+                T* o = ob + 2*r*dim_x;                                   \
+                for (long pp = 0; pp < p; pp++)                          \
+                for (long mm = 0; mm < modes; mm++) {                    \
+                    o[2*(mm*p+pp)]   = y[2*(pp*modes+mm)];               \
+                    o[2*(mm*p+pp)+1] = y[2*(pp*modes+mm)+1];             \
+                }                                                        \
+            }                                                            \
+        } else {                                                         \
+            STOCKHAM_FN(acc, ob, scr, tw_i, bt*c_out, modes,             \
+                        1, (T)modes, 0, 0);                              \
+        }                                                                \
+    }                                                                    \
+}
+
+FUSED1D(fused1d_f32, float, stockham_f32, decomp_reduce_f32,
+        expand_mul_f32, panel_acc_f32)
+FUSED1D(fused1d_f64, double, stockham_f64, decomp_reduce_f64,
+        expand_mul_f64, panel_acc_f64)

@@ -81,7 +81,12 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.dtypes import complex_dtype_for
-from repro.fft._ckernels import build_info, get_kernels, kernels_available
+from repro.fft._ckernels import (
+    Table,
+    build_info,
+    get_kernels,
+    kernels_available,
+)
 from repro.fft.twiddle import decomposition_twiddles, stage_twiddles
 
 __all__ = [
@@ -108,6 +113,7 @@ __all__ = [
     "kernels_available",
     "resolve_backend_kernels",
     "panel_contract",
+    "panel_gemm",
     "decomp_reduce",
     "expand_mul",
     "workspace_empty",
@@ -184,6 +190,28 @@ def panel_contract(
         acc += np.einsum("bkm,ko->bom", a, w)
 
 
+def panel_gemm(
+    a: np.ndarray, w: np.ndarray, acc: np.ndarray, k_tb: int,
+    kernels=_SCOPED,
+) -> None:
+    """``acc[...] =`` the k-panel CGEMM of a ``(batch, C_in, m)``
+    spectrum: zero, then ``acc += einsum("bkm,ko->bom", a[:, k0:k1],
+    w[k0:k1])`` for every ``k_tb``-wide panel in order (contiguous
+    ``a``, ``w`` and ``acc``; one kernel call on the C backend)."""
+    k = _scoped_kernels() if kernels is _SCOPED else kernels
+    batch, c_in, m = a.shape
+    o = w.shape[1]
+    if k is not None:
+        k.panel_gemm(a, w, acc, batch, c_in, m, o, k_tb)
+        return
+    acc[...] = 0
+    for k0 in range(0, c_in, k_tb):
+        k1 = min(k0 + k_tb, c_in)
+        acc += np.einsum(
+            "bkm,ko->bom", np.ascontiguousarray(a[:, k0:k1]), w[k0:k1]
+        )
+
+
 def decomp_reduce(
     y: np.ndarray, wd: np.ndarray, out: np.ndarray, kernels=_SCOPED
 ) -> None:
@@ -255,8 +283,8 @@ class CompiledFFTPlan:
         self.dtype = np.dtype(dtype)
         self.inverse = inverse
         self.backend = backend
-        # Per-stage tables (NumPy path) and their concatenation (C path),
-        # pre-cast once at plan time.
+        # Per-stage tables (NumPy path) and their concatenation (C path,
+        # address cached), pre-cast once at plan time.
         self._stage_tw: list[np.ndarray] = []
         span = 2
         while span <= n:
@@ -264,12 +292,10 @@ class CompiledFFTPlan:
             w.setflags(write=False)
             self._stage_tw.append(w)
             span *= 2
-        if self._stage_tw:
-            self._tw_concat = np.ascontiguousarray(
-                np.concatenate(self._stage_tw)
-            )
-        else:  # n == 1
-            self._tw_concat = np.zeros(0, self.dtype)
+        self.stage_table = Table(
+            np.concatenate(self._stage_tw) if self._stage_tw
+            else np.zeros(0, self.dtype)  # n == 1
+        )
         self._lock = threading.Lock()
         self._scratch = np.zeros(0, self.dtype)
 
@@ -300,7 +326,7 @@ class CompiledFFTPlan:
             if kernels is not None:
                 scratch = self._scratch_for(rows * n)
                 kernels.stockham(
-                    flat, out, scratch, self._tw_concat, rows, n,
+                    flat, out, scratch, self.stage_table, rows, n,
                     div_by, mul_by,
                 )
             else:
@@ -368,8 +394,7 @@ class CompiledPrunedPlan(_WorkspaceOwner):
         self._fft = fft_lookup(part, dtype, inverse)
         if part < n:
             wd = decomposition_twiddles(n, self.split, part, inverse=inverse)
-            self._wd = np.ascontiguousarray(wd.astype(self.dtype))
-            self._wd.setflags(write=False)
+            self._wd = Table(wd.astype(self.dtype))
         else:
             self._wd = None
         self._init_workspaces()
@@ -707,12 +732,8 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
             wd = decomposition_twiddles(h, p, q, inverse=False)
             k = np.arange(q)
             wm = -0.5j * np.exp(-2j * np.pi * k / n)
-            u = np.ascontiguousarray((wd * (0.5 + wm)).astype(self.dtype))
-            v = np.ascontiguousarray((wd * (0.5 - wm)).astype(self.dtype))
-            u.setflags(write=False)
-            v.setflags(write=False)
-            self._u = u
-            self._v = v
+            self._u = Table((wd * (0.5 + wm)).astype(self.dtype))
+            self._v = Table((wd * (0.5 - wm)).astype(self.dtype))
             self._ridx = (q - k) % q  # Y[(q-k) mod q] gather
         self._init_workspaces()
 
@@ -831,10 +852,8 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
             ss, t = np.ogrid[0:s, 0:q]
             wdh = np.exp(+2j * np.pi * ss * t / h)
             wdt = np.exp(+2j * np.pi * ss * (t - q) / h)
-            self._wdh = np.ascontiguousarray(wdh.astype(self.dtype))
-            self._wdt = np.ascontiguousarray(wdt.astype(self.dtype))
-            self._wdh.setflags(write=False)
-            self._wdt.setflags(write=False)
+            self._wdh = Table(wdh.astype(self.dtype))
+            self._wdt = Table(wdt.astype(self.dtype))
         self._init_workspaces()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
