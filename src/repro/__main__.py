@@ -484,7 +484,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         x = probe_signal((batch, hidden, *spatial), dtype)
         t0 = time.perf_counter()
         tuned_ex = compile_spectral_conv(
-            weight, modes if len(modes) > 1 else modes[0],
+            weight, modes,
             symmetric=symmetric, plans=plans, tiles="auto", tuner=tuner,
         )
         tiles = tuned_ex.resolve_tiles(
@@ -492,7 +492,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         )
         tune_s = time.perf_counter() - t0
         default_ex = compile_spectral_conv(
-            weight, modes if len(modes) > 1 else modes[0],
+            weight, modes,
             symmetric=symmetric, plans=plans,
         )
         t_def = measure_seconds(lambda: default_ex(x), repeats=3)

@@ -119,8 +119,9 @@ class ExecutionPlan:
 
         ``weight`` is the complex ``(C_in, C_out)`` spectral weight
         matrix; ``C_in`` must match the problem's hidden dimension.
-        Returns a :class:`repro.core.compiled.CompiledSpectralConv1D` or
-        ``...2D`` whose staging (weight casts, FFT plans, workspaces) is
+        Returns the :class:`repro.core.compiled.CompiledSpectralConv`
+        keyed on the problem's modes tuple (a ``CompiledSpectralConv1D``
+        or ``...2D``), whose staging (weight casts, FFT plans, workspaces) is
         paid once, so ``plan -> compile -> execute many`` amortises all
         per-call setup.  The executor uses the functional path's default
         k-tiling, so its output is byte-identical to

@@ -14,8 +14,8 @@ door that owns all of it:
   ``backend`` (``"auto"`` | ``"ckernels"`` | ``"numpy"``); two sessions
   with different backends never share plans or workspaces;
 * **a compiled-executor pool** — one
-  :class:`repro.core.compiled.CompiledSpectralConv1D`/``2D`` per served
-  weight matrix, staged against the session's caches and reused across
+  :class:`repro.core.compiled.CompiledSpectralConv` per served weight
+  matrix, staged against the session's caches and reused across
   requests;
 * **the serving path** — :meth:`Session.infer` for one request,
   :meth:`Session.infer_many` for a stream: requests are micro-batched
@@ -53,8 +53,7 @@ from repro.api.problem import Problem
 from repro.api.registry import get_device, resolve_stage
 from repro.core.autotune import Tuner, probe_signal
 from repro.core.compiled import (
-    CompiledSpectralConv1D,
-    CompiledSpectralConv2D,
+    CompiledSpectralConv,
     compile_spectral_conv,
 )
 from repro.core.config import TurboFNOConfig
@@ -101,8 +100,6 @@ ROLLOUT_PROFILES = ("exact", "fast")
 #: stable p99 estimates, small enough that a month-long serving loop
 #: holds a few KiB per geometry.
 LATENCY_RESERVOIR_SIZE = 512
-
-_COMPILED_EXECUTORS = (CompiledSpectralConv1D, CompiledSpectralConv2D)
 
 #: Executor-pool capacity: one entry per served weight matrix.  LRU
 #: eviction keeps a serving loop that materialises transient weight
@@ -492,15 +489,14 @@ class Session:
             return 0
         cdt = complex_dtype_for(dt)
         weight = probe_signal((hidden, hidden), cdt)
-        modes_arg = modes if len(modes) > 1 else modes[0]
         executor = compile_spectral_conv(
-            weight, modes_arg,
+            weight, modes,
             plans=self.plan_caches, tiles="auto", tuner=self._tuner,
         )
         tuned = executor.warm_tiles(batch, spatial, dtype=dt)
         if modes[-1] <= spatial[-1] // 2:  # the symmetric family applies
             symmetric = compile_spectral_conv(
-                weight, modes_arg, symmetric=True,
+                weight, modes, symmetric=True,
                 plans=self.plan_caches, tiles="auto", tuner=self._tuner,
             )
             tuned += symmetric.warm_tiles(batch, spatial, dtype=dt)
@@ -523,15 +519,14 @@ class Session:
             caches.irfft(n_last, cdt)
             caches.pruned_rfft(n_last, m_last, cdt)
             caches.pruned_irfft(n_last, m_last, cdt)
-        # 2-D: the width-axis pruned splits of the outer transform.
-        if len(spatial) == 2:
-            n_x, m_x = spatial[0], modes[0]
-            if m_x < n_x and is_power_of_two(m_x):
-                caches.pruned(n_x, m_x, cdt, "trunc")
-                caches.pruned(n_x, m_x, cdt, "itrunc")
-            elif m_x == n_x:
-                caches.fft(n_x, cdt, inverse=False)
-                caches.fft(n_x, cdt, inverse=True)
+        # The pruned splits of each leading axis's standalone transform.
+        for n, m in zip(spatial[:-1], modes[:-1]):
+            if m < n and is_power_of_two(m):
+                caches.pruned(n, m, cdt, "trunc")
+                caches.pruned(n, m, cdt, "itrunc")
+            elif m == n:
+                caches.fft(n, cdt, inverse=False)
+                caches.fft(n, cdt, inverse=True)
 
     # -- executor pool --------------------------------------------------
 
@@ -559,11 +554,8 @@ class Session:
         with self._pool_lock:
             executor = self._executors.get(key)
             if executor is None:
-                modes = (
-                    model.modes[0] if len(model.modes) == 1 else model.modes
-                )
                 executor = compile_spectral_conv(
-                    model.weight, modes, symmetric=model.symmetric,
+                    model.weight, model.modes, symmetric=model.symmetric,
                     plans=self.plan_caches,
                     tiles="auto" if self.autotune else "default",
                     tuner=self._tuner,
@@ -631,7 +623,7 @@ class Session:
         spec = _as_spectral_model(model)
         if spec is not None:
             executor = self._pooled_executor(spec)
-        elif isinstance(model, _COMPILED_EXECUTORS):
+        elif isinstance(model, CompiledSpectralConv):
             executor = model
         else:
             # An arbitrary model (e.g. a repro.nn Module): run it under
@@ -744,7 +736,7 @@ class Session:
             spec = _as_spectral_model(model)
             if spec is not None:
                 mkey = self._model_key(spec)
-            elif isinstance(model, _COMPILED_EXECUTORS):
+            elif isinstance(model, CompiledSpectralConv):
                 mkey = ("executor", id(model))
             else:
                 mkey = ("opaque", id(model))
@@ -986,7 +978,7 @@ class Session:
         spec = _as_spectral_model(model)
         if spec is not None:
             executor = self._pooled_executor(spec)
-        elif isinstance(model, _COMPILED_EXECUTORS):
+        elif isinstance(model, CompiledSpectralConv):
             executor = model
         else:
             executor = None
@@ -1042,7 +1034,6 @@ class Session:
         # 2D), and projecting *before* synthesis would change the kept
         # output, so the order matters.
         if executor is not None:
-            spatial_arg = spatial if executor.ndim == 2 else spatial[0]
             with self._serve_lock_for(executor):
                 sk = executor.forward_spectrum(state)
                 yk = sk
@@ -1052,13 +1043,12 @@ class Session:
                     self._record(geometry, n, time.perf_counter() - t0)
                     if keep == "all":
                         kept.append(
-                            executor.inverse_spectrum(yk, spatial_arg)
+                            executor.inverse_spectrum(yk, spatial)
                         )
-                    sk = executor.reanalyze_spectrum(yk, spatial_arg)
+                    sk = executor.reanalyze_spectrum(yk, spatial)
                 if keep == "last":
-                    kept.append(executor.inverse_spectrum(yk, spatial_arg))
+                    kept.append(executor.inverse_spectrum(yk, spatial))
             return kept
-        spatial_arg = spatial if len(spatial) == 2 else spatial[0]
         with self._serve_lock_for(layer), self.activate():
             sk = layer.spectrum(state)
             yk = sk
@@ -1067,10 +1057,10 @@ class Session:
                 yk = layer.apply_modes(sk)
                 self._record(geometry, n, time.perf_counter() - t0)
                 if keep == "all":
-                    kept.append(layer.from_spectrum(yk, spatial_arg))
-                sk = layer.reanalyze_spectrum(yk, spatial_arg)
+                    kept.append(layer.from_spectrum(yk, spatial))
+                sk = layer.reanalyze_spectrum(yk, spatial)
             if keep == "last":
-                kept.append(layer.from_spectrum(yk, spatial_arg))
+                kept.append(layer.from_spectrum(yk, spatial))
         return kept
 
     # -- observability --------------------------------------------------

@@ -12,9 +12,12 @@
 * :mod:`repro.core.fused` — numerically exact fused operators (NumPy
   execution of the single-kernel dataflow).
 * :mod:`repro.core.compiled` — build-once/execute-many spectral-conv
-  executors over the compiled FFT plan layer (byte-identical to the
-  functional path; :mod:`repro.core.legacy` preserves the original
-  loops as oracle and benchmark baseline).
+  executors over the compiled FFT plan layer: one
+  :class:`~repro.core.compiled.CompiledSpectralConv` keyed on the modes
+  tuple (pruned FFTs along the leading axes, the fused 1-D k-loop along
+  the last; ``CompiledSpectralConv1D``/``2D`` are its constructors),
+  byte-identical to the functional path; :mod:`repro.core.legacy`
+  preserves the original loops as oracle and benchmark baseline.
 * :mod:`repro.core.autotune` — plan-time tile autotuning for the
   compiled executors (candidate grids seeded by an analytic
   cache-footprint model, a persistent versioned tune store, and the
@@ -29,6 +32,7 @@
 
 from repro.core.autotune import Tiles, Tuner, TuneStore, default_tuner
 from repro.core.compiled import (
+    CompiledSpectralConv,
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
     compile_spectral_conv,
@@ -52,6 +56,7 @@ __all__ = [
     "spectral_conv_2d",
     "fused_fft_gemm_ifft_1d",
     "fused_fft_gemm_ifft_2d",
+    "CompiledSpectralConv",
     "CompiledSpectralConv1D",
     "CompiledSpectralConv2D",
     "compile_spectral_conv",

@@ -2,15 +2,17 @@
 
 The legacy fused loops (:mod:`repro.core.legacy`) re-cast the same
 weight panel on every tile of every signal block and re-staged their FFT
-setup per call.  A :class:`CompiledSpectralConv1D` /
-:class:`CompiledSpectralConv2D` executor does all of that at *build*
-time — weights cast once and pre-sliced into contiguous k-panels, FFT
-plans resolved from the global cache (:mod:`repro.fft.compiled`),
-decomposition twiddles pre-cast, tile workspaces allocated — so each
-execution runs only the k-loop arithmetic.  Outputs are byte-identical
-to the legacy loops (property-tested): the executors replay the same
-tile/panel accumulation order, so not a single floating-point operation
-changes, only where the operands live.
+setup per call.  A :class:`CompiledSpectralConv` executor (one class
+for any number of spatial axes, keyed on the ``modes`` tuple;
+:class:`CompiledSpectralConv1D` / :class:`CompiledSpectralConv2D` are
+its 1-D/2-D constructors) does all of that at *build* time: weights
+cast once and pre-sliced into contiguous k-panels, FFT plans resolved
+from the global cache (:mod:`repro.fft.compiled`), decomposition
+twiddles pre-cast, tile workspaces allocated — so each execution runs
+only the k-loop arithmetic.  Outputs are byte-identical to the legacy
+loops (property-tested): the executors replay the same tile/panel
+accumulation order, so not a single floating-point operation changes,
+only where the operands live.
 
 The functional API (:mod:`repro.core.fused`) builds a throwaway executor
 per call, which still hoists every redundant cast out of the loops; hold
@@ -30,6 +32,8 @@ sessions; staging captures the set once per geometry.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,9 +70,11 @@ from repro.fft.stockham import _check_length
 from repro.fft.twiddle import decomposition_twiddles
 
 __all__ = [
+    "CompiledSpectralConv",
     "CompiledSpectralConv1D",
     "CompiledSpectralConv2D",
     "compile_spectral_conv",
+    "project_hermitian",
 ]
 
 _DEFAULT_K_TB = 8
@@ -312,34 +318,6 @@ class _StagedFused1D:
             panel_contract(a, wp, acc, kernels=self.plans.kernels())
         return acc
 
-def _project_dc_real(sk: np.ndarray) -> np.ndarray:
-    """The half-spectrum irfft->rfft round trip, as a spectrum-resident
-    map: a real signal's DC bin is real, so re-analysing the synthesised
-    signal projects ``Im(DC)`` away and leaves every other kept bin
-    untouched (kept modes never reach the Nyquist bin)."""
-    sk = sk.copy()
-    sk[..., 0] = sk[..., 0].real
-    return sk
-
-
-def _project_herm_x(sk: np.ndarray, dim_x: int) -> np.ndarray:
-    """The symmetric-2D inverse/forward round trip on the kept corner.
-
-    Along Y the C2R/R2C pair projects the y-DC plane; re-analysing that
-    now-real plane along X (the first-bins C2C filter) Hermitian-
-    symmetrises its X-spectrum — ``v[k] -> (v[k] + conj(v[(N-k) % N]))
-    / 2`` over the padded length before truncating back to the kept
-    bins.  Every ``my > 0`` bin passes through untouched.
-    """
-    sk = sk.copy()
-    col = sk[..., 0]
-    mx = col.shape[-1]
-    full = np.zeros(col.shape[:-1] + (dim_x,), dtype=sk.dtype)
-    full[..., :mx] = col
-    herm = 0.5 * (full + np.conj(np.roll(full[..., ::-1], 1, axis=-1)))
-    sk[..., 0] = herm[..., :mx]
-    return sk
-
 
 def _cast_weight(weight: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """The (C_in, C_out) weight cast once to the working dtype, C-order."""
@@ -391,132 +369,153 @@ def _require_part(plan, modes: int, what: str) -> None:
         )
 
 
-class _StagedSymmetric1D:
-    """Everything a symmetric (rfft/irfft) 1-D pass needs, staged once.
+def _axis_letter(axis: int) -> str:
+    return "xyz"[axis] if axis < 3 else str(axis)
 
-    The original-FNO filter convention on real input: truncated half
-    spectrum straight from the cached pruned-R2C plan (truncation fused
-    into the packed-real decomposition — the discarded bins are never
-    recombined), one shared CGEMM over the kept modes (the fused
-    path's k-panel accumulation, in one ``panel_gemm`` call), then
-    the pruned C2R plan synthesising from exactly those modes — the
-    half spectrum is consumed end-to-end, never Hermitian-completed and
-    never materialised beyond the kept bins.
+
+def _mode_name(axis: int, ndim: int) -> str:
+    """How error messages name one axis's kept modes: the 1-D
+    constructor's ``modes``, else ``modes_x``, ``modes_y``, ..."""
+    return "modes" if ndim == 1 else f"modes_{_axis_letter(axis)}"
+
+
+def _check_modes(modes: tuple, spatial: tuple) -> None:
+    """No axis keeps more modes than its length (at least one is the
+    executor constructor's check)."""
+    for axis, (m, n) in enumerate(zip(modes, spatial)):
+        if m > n:
+            raise ValueError(
+                f"{_mode_name(axis, len(modes))} must be in [1, {n}], "
+                f"got {m}"
+            )
+
+
+def _check_half_spectrum(modes: tuple, spatial: tuple) -> None:
+    """The symmetric convention keeps at most half the last axis, so
+    the kept modes never reach its Nyquist bin."""
+    if modes[-1] > spatial[-1] // 2:
+        axis = len(modes) - 1
+        raise ValueError(
+            f"symmetric filtering needs {_mode_name(axis, len(modes))} <= "
+            f"{_axis_letter(axis).upper()}/2, got {modes[-1]} on a "
+            f"length-{spatial[-1]} grid"
+        )
+
+
+def project_hermitian(sk: np.ndarray, lead: tuple = ()) -> np.ndarray:
+    """The symmetric convention's inverse/forward round trip, as a
+    spectrum-resident map on a kept-modes corner.
+
+    ``sk`` is ``(..., m_1, ..., m_L, m_last)`` and ``lead`` holds the
+    padded lengths ``(n_1, ..., n_L)`` of the leading (first-bins C2C)
+    axes.  Along the last axis the C2R/R2C pair projects the DC plane
+    real; re-analysing that now-real plane along the leading axes
+    Hermitian-symmetrises its spectrum — ``v[k] -> (v[k] +
+    conj(v[-k])) / 2`` with every index negated modulo its padded
+    length — before truncating back to the kept bins.  Every other
+    last-axis bin passes through untouched (kept modes never reach the
+    Nyquist bin).  With no leading axes this is ``Re`` of the DC bin,
+    computed directly.
+    """
+    sk = np.asarray(sk).copy()
+    if not lead:
+        sk[..., 0] = sk[..., 0].real
+        return sk
+    col = sk[..., 0]
+    axes = range(col.ndim - len(lead), col.ndim)
+    corner = (Ellipsis,) + tuple(slice(0, col.shape[a]) for a in axes)
+    full = np.zeros(col.shape[:axes[0]] + tuple(lead), dtype=sk.dtype)
+    full[corner] = col
+    mirror = full
+    for axis in axes:
+        mirror = np.roll(np.flip(mirror, axis), 1, axis=axis)
+    sk[..., 0] = (0.5 * (full + np.conj(mirror)))[corner]
+    return sk
+
+
+def _symmetric_forward(x: np.ndarray, rfft, modes: tuple,
+                       plans: PlanCaches) -> np.ndarray:
+    """Truncated half spectrum of real ``x``: the pruned R2C along the
+    last axis, then the first-bins pruned C2C along each leading axis."""
+    rows = np.ascontiguousarray(
+        x, dtype=rfft.real_dtype
+    ).reshape(-1, x.shape[-1])
+    sk = rfft.execute(rows).reshape(x.shape[:-1] + (modes[-1],))
+    for axis, m in enumerate(modes[:-1], start=2):
+        sk = truncated_fft_auto(sk, m, axis=axis, caches=plans)
+    return sk
+
+
+def _symmetric_inverse(yk: np.ndarray, spatial: tuple, irfft, dtype,
+                       plans: PlanCaches) -> np.ndarray:
+    """Real signal of a contiguous ``dtype`` half-spectrum corner:
+    zero-padded C2C inverses along the leading axes (last first), then
+    the pruned C2R synthesising straight from the kept modes along the
+    last axis."""
+    for axis in range(len(spatial) - 2, -1, -1):
+        yk = np.ascontiguousarray(
+            padded_ifft_auto(yk, spatial[axis], axis=axis + 2, caches=plans),
+            dtype=dtype,
+        )
+    rows = yk.reshape(-1, yk.shape[-1])
+    return irfft.execute(rows).reshape(yk.shape[:-1] + (spatial[-1],))
+
+
+def _corner_gemm(sk: np.ndarray, weight: np.ndarray, k_tb: int,
+                 kernels) -> np.ndarray:
+    """The shared ``(C_in, C_out)`` CGEMM over the flattened kept corner
+    of ``sk``, in the fused path's k-panel order (one ``panel_gemm``)."""
+    batch, c_in, *corner = sk.shape
+    m = math.prod(corner)
+    c_out = weight.shape[1]
+    acc = np.empty((batch, c_out, m), weight.dtype)
+    panel_gemm(
+        np.ascontiguousarray(sk, dtype=weight.dtype).reshape(batch, c_in, m),
+        weight, acc, k_tb, kernels=kernels,
+    )
+    return acc.reshape(batch, c_out, *corner)
+
+
+class _StagedSymmetric:
+    """Everything a symmetric (rfft/irfft) pass needs, staged once per
+    (dtype, spatial shape).
+
+    The original-FNO filter convention on real input: the truncated half
+    spectrum along the last axis straight from the cached pruned-R2C
+    plan (truncation fused into the packed-real decomposition — the
+    discarded bins are never recombined), the paper's first-bins pruned
+    C2C along each leading axis, one shared CGEMM over the flattened
+    kept corner (the fused path's k-panel accumulation, in one
+    ``panel_gemm`` call), then the inverse chain in reverse order —
+    pruned C2C inverses along the leading axes and the pruned C2R plan
+    synthesising from exactly the kept modes.  The half spectrum is
+    consumed end-to-end, never Hermitian-completed and never
+    materialised beyond the kept bins.
     """
 
-    def __init__(self, weight: np.ndarray, modes: int, dim_x: int,
+    def __init__(self, weight: np.ndarray, modes: tuple, spatial: tuple,
                  k_tb: int, dtype: np.dtype,
                  plans: PlanCaches | None = None,
                  batch_tile: int = 0):
-        _check_length(dim_x)
-        if modes > dim_x // 2:
-            raise ValueError(
-                f"symmetric filtering needs modes <= X/2, got {modes} "
-                f"on a length-{dim_x} grid"
-            )
+        for n in spatial:
+            _check_length(n)
+        _check_half_spectrum(modes, spatial)
         if batch_tile < 0:
             raise ValueError(
                 f"batch_tile must be >= 0, got {batch_tile}"
             )
         self.modes = modes
-        self.dim_x = dim_x
         self.dtype = dtype
         self.batch_tile = batch_tile  # 0 = whole batch (the default)
         self.k_tb = k_tb
         self.c_in, self.c_out = weight.shape
         self.plans = plans if plans is not None else current_plan_caches()
         self.weight = _cast_weight(weight, dtype)
-        self.rfft = self.plans.pruned_rfft(dim_x, modes, dtype)
-        self.irfft = self.plans.pruned_irfft(dim_x, modes, dtype)
-        _require_part(self.rfft, modes, "symmetric 1-D forward")
-        _require_part(self.irfft, modes, "symmetric 1-D inverse")
-
-    def run(self, x: np.ndarray,
-            xk_trunc: np.ndarray | None = None) -> np.ndarray:
-        batch, c_in, n = x.shape
-        if xk_trunc is not None and xk_trunc.shape[-1] != self.rfft.part:
-            raise PrunedPartMismatchError(
-                f"xk_trunc carries {xk_trunc.shape[-1]} bins but the "
-                f"staged plans truncate to part={self.rfft.part}"
-            )
-        if xk_trunc is not None and xk_trunc.shape != (
-            batch, c_in, self.modes
-        ):
-            raise ValueError(
-                f"xk_trunc must have shape {(batch, c_in, self.modes)}, "
-                f"got {xk_trunc.shape}"
-            )
-        tile = self.batch_tile
-        if not tile or tile >= batch:
-            return self._run_block(x, xk_trunc)
-        # Every stage is row-independent along the batch axis, so batch
-        # tiling is a pure working-set knob: the output bits match the
-        # untiled pass exactly.
-        out = np.empty((batch, self.c_out, n), self.rfft.real_dtype)
-        for b0 in range(0, batch, tile):
-            b1 = min(b0 + tile, batch)
-            out[b0:b1] = self._run_block(
-                x[b0:b1],
-                None if xk_trunc is None else xk_trunc[b0:b1],
-            )
-        return out
-
-    def _run_block(self, x: np.ndarray,
-                   xk_trunc: np.ndarray | None) -> np.ndarray:
-        batch, c_in, n = x.shape
-        m = self.modes
-        if xk_trunc is None:
-            flat = np.ascontiguousarray(
-                x, dtype=self.rfft.real_dtype
-            ).reshape(batch * c_in, n)
-            xk_trunc = self.rfft.execute(flat).reshape(batch, c_in, m)
-        acc = np.empty((batch, self.c_out, m), self.dtype)
-        panel_gemm(np.ascontiguousarray(xk_trunc, dtype=self.dtype),
-                   self.weight, acc, self.k_tb, kernels=self.plans.kernels())
-        out = self.irfft.execute(acc.reshape(batch * self.c_out, m))
-        return out.reshape(batch, self.c_out, n)
-
-
-class _StagedSymmetric2D:
-    """Symmetric 2-D pass: pruned R2C along Y (truncation fused into
-    the packed-real decomposition), pruned C2C along X, one shared
-    CGEMM over the kept corner, then the inverse chain (pruned C2C
-    inverse along X, pruned C2R along Y — synthesised straight from the
-    kept modes, no Hermitian-half zero-pad)."""
-
-    def __init__(self, weight: np.ndarray, modes_x: int, modes_y: int,
-                 dim_x: int, dim_y: int, k_tb: int, dtype: np.dtype,
-                 plans: PlanCaches | None = None,
-                 batch_tile: int = 0):
-        _check_length(dim_x)
-        _check_length(dim_y)
-        if modes_x > dim_x:
-            raise ValueError(
-                f"modes_x={modes_x} exceeds spatial size {dim_x}"
-            )
-        if modes_y > dim_y // 2:
-            raise ValueError(
-                f"symmetric filtering needs modes_y <= Y/2, got {modes_y} "
-                f"on a length-{dim_y} grid"
-            )
-        if batch_tile < 0:
-            raise ValueError(
-                f"batch_tile must be >= 0, got {batch_tile}"
-            )
-        self.modes_x = modes_x
-        self.modes_y = modes_y
-        self.dim_x = dim_x
-        self.dim_y = dim_y
-        self.dtype = dtype
-        self.batch_tile = batch_tile  # 0 = whole batch (the default)
-        self.k_tb = k_tb
-        self.c_in, self.c_out = weight.shape
-        self.plans = plans if plans is not None else current_plan_caches()
-        self.weight = _cast_weight(weight, dtype)
-        self.rfft = self.plans.pruned_rfft(dim_y, modes_y, dtype)
-        self.irfft = self.plans.pruned_irfft(dim_y, modes_y, dtype)
-        _require_part(self.rfft, modes_y, "symmetric 2-D forward")
-        _require_part(self.irfft, modes_y, "symmetric 2-D inverse")
+        self.rfft = self.plans.pruned_rfft(spatial[-1], modes[-1], dtype)
+        self.irfft = self.plans.pruned_irfft(spatial[-1], modes[-1], dtype)
+        what = f"symmetric {len(modes)}-D"
+        _require_part(self.rfft, modes[-1], f"{what} forward")
+        _require_part(self.irfft, modes[-1], f"{what} inverse")
 
     def run(self, x: np.ndarray,
             xk_trunc: np.ndarray | None = None) -> np.ndarray:
@@ -527,22 +526,20 @@ class _StagedSymmetric2D:
                 f"staged plans truncate to part={self.rfft.part}"
             )
         if xk_trunc is not None and xk_trunc.shape != (
-            batch, c_in, self.modes_x, self.modes_y
+            batch, c_in, *self.modes
         ):
             raise ValueError(
-                f"xk_trunc must have shape "
-                f"{(batch, c_in, self.modes_x, self.modes_y)}, "
+                f"xk_trunc must have shape {(batch, c_in, *self.modes)}, "
                 f"got {xk_trunc.shape}"
             )
         tile = self.batch_tile
         if not tile or tile >= batch:
             return self._run_block(x, xk_trunc)
-        # Row-independent along the batch axis: tiling changes the
-        # working set, never the bits.
-        out = np.empty(
-            (batch, self.c_out, x.shape[2], x.shape[3]),
-            self.rfft.real_dtype,
-        )
+        # Every stage is row-independent along the batch axis, so batch
+        # tiling is a pure working-set knob: the output bits match the
+        # untiled pass exactly.
+        out = np.empty((batch, self.c_out, *x.shape[2:]),
+                       self.rfft.real_dtype)
         for b0 in range(0, batch, tile):
             b1 = min(b0 + tile, batch)
             out[b0:b1] = self._run_block(
@@ -553,30 +550,13 @@ class _StagedSymmetric2D:
 
     def _run_block(self, x: np.ndarray,
                    xk_trunc: np.ndarray | None) -> np.ndarray:
-        batch, c_in, dim_x, dim_y = x.shape
-        mx, my = self.modes_x, self.modes_y
         if xk_trunc is None:
-            flat = np.ascontiguousarray(
-                x, dtype=self.rfft.real_dtype
-            ).reshape(batch * c_in * dim_x, dim_y)
-            xk_y = self.rfft.execute(flat).reshape(batch, c_in, dim_x, my)
-            xk_trunc = truncated_fft_auto(
-                xk_y, mx, axis=2, caches=self.plans,
-            )
-        a_full = np.ascontiguousarray(
-            xk_trunc, dtype=self.dtype
-        ).reshape(batch, c_in, mx * my)
-        acc = np.empty((batch, self.c_out, mx * my), self.dtype)
-        panel_gemm(a_full, self.weight, acc, self.k_tb,
-                   kernels=self.plans.kernels())
-        yk = acc.reshape(batch, self.c_out, mx, my)
-        y_x = padded_ifft_auto(yk, dim_x, axis=2, caches=self.plans)
-        out = self.irfft.execute(
-            np.ascontiguousarray(y_x, dtype=self.dtype).reshape(
-                batch * self.c_out * dim_x, my
-            )
-        )
-        return out.reshape(batch, self.c_out, dim_x, dim_y)
+            xk_trunc = _symmetric_forward(x, self.rfft, self.modes,
+                                          self.plans)
+        yk = _corner_gemm(xk_trunc, self.weight, self.k_tb,
+                          self.plans.kernels())
+        return _symmetric_inverse(yk, x.shape[2:], self.irfft, self.dtype,
+                                  self.plans)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +618,8 @@ def _normalise_tiles(tiles, k_tb: int, symmetric: bool):
 def _autotune_fused_tiles(weight, modes, dim_x, k_tb, default, dtype,
                           plans, tuner, batch, retune=False) -> Tiles:
     """Resolve (tuning on a miss) the fused-dataflow tiles for one
-    geometry.  Shared by the 1-D executor and the 2-D executor's
-    per-pencil fused stage (which is the same computation on a
-    ``batch * modes_x`` pencil batch)."""
+    geometry: the executor's per-pencil fused stage along the last axis,
+    ``batch`` counting pencils (``batch * prod(modes[:-1])`` of them)."""
     c_in, c_out = weight.shape
     p = dim_x // modes
     dtype = np.dtype(dtype)
@@ -713,19 +692,27 @@ def _autotune_symmetric_tiles(kind, weight, modes, spatial, k_tb, dtype,
     )
 
 
-class CompiledSpectralConv1D:
-    """Reusable executor for the fused 1-D spectral convolution.
+class CompiledSpectralConv:
+    """Reusable executor for the fused spectral convolution, keyed on
+    the ``modes`` tuple — one kept-mode count per spatial axis.
 
-    Build once per weight matrix; call with any ``(batch, C_in, X)``
-    input.  Staging (weight casts, FFT plans, workspaces) is cached per
-    (working dtype, X); outputs are byte-identical to
-    :func:`repro.core.legacy.fused_fft_gemm_ifft_1d`.
+    Build once per weight matrix; call with any ``(batch, C_in,
+    *spatial)`` input.  The dataflow is the paper's (Fig. 6): a
+    standalone pruned FFT along each leading axis, the fused 1-D
+    FFT -> CGEMM -> iFFT k-loop along the last axis over the
+    ``batch * prod(modes[:-1])`` kept pencils, then pruned inverse FFTs
+    back along the leading axes.  With one spatial axis the leading
+    stages vanish and the raw input goes straight to the fused k-loop.
+    Staging (weight casts, FFT plans, workspaces) is cached per (working
+    dtype, geometry); outputs are byte-identical to
+    :func:`repro.core.legacy.fused_fft_gemm_ifft_1d` / ``_2d``.
 
     ``symmetric=True`` selects the original FNO's rfft/irfft filter
     convention instead of the paper's first-bins C2C filter: real input,
-    half spectrum via the cached packed-real plans, Hermitian-mirrored
-    kept modes — a genuine real->real low-pass operator returning a real
-    array.  Requires ``modes <= X/2``.
+    the half spectrum along the last axis via the cached packed-real
+    plans, the first-bins C2C filter along the leading axes, and a real
+    output via the C2R inverse — a genuine real->real low-pass operator.
+    Requires ``modes[-1] <= spatial[-1] / 2``.
 
     ``tiles`` selects the tiling: ``"default"`` (the constructor's
     ``signal_tile``/``k_tb``, the seed behaviour), a concrete
@@ -733,13 +720,14 @@ class CompiledSpectralConv1D:
     (geometry, dtype, backend, batch bucket) through ``tuner`` (the
     process default when None), timing a small candidate grid on first
     use and recalling the winner from the in-memory/persistent tune
-    stores afterwards.  Every legal tiling is **byte-identical**: tiles
-    move operands, never arithmetic.
+    stores afterwards.  The fused dataflow applies the tiles to its
+    per-pencil stage (the 1-D computation on the pencil batch, sharing
+    its tune entries), the symmetric dataflow to the whole-pass batch
+    tile.  Every legal tiling is **byte-identical**: tiles move
+    operands, never arithmetic.
     """
 
-    ndim = 1
-
-    def __init__(self, weight: np.ndarray, modes: int,
+    def __init__(self, weight: np.ndarray, modes: tuple,
                  k_tb: int = _DEFAULT_K_TB,
                  signal_tile: int = _DEFAULT_SIGNAL_TILE,
                  symmetric: bool = False,
@@ -751,10 +739,12 @@ class CompiledSpectralConv1D:
             raise ValueError(
                 f"weight must be (C_in, C_out), got {weight.shape}"
             )
-        if modes < 1:
+        modes = tuple(int(m) for m in modes)
+        if not modes or min(modes) < 1:
             raise ValueError(f"modes must be positive, got {modes}")
         self.weight = weight
         self.modes = modes
+        self.ndim = len(modes)
         self.k_tb = k_tb
         self.signal_tile = signal_tile
         self.symmetric = symmetric
@@ -763,6 +753,12 @@ class CompiledSpectralConv1D:
         self._plans = plans
         self._staged: dict[tuple, object] = {}
         self._spec_weights: dict = {}
+        # Tuned units per signal: the fused stage runs over one pencil
+        # per kept leading-axis mode, the symmetric pass whole signals.
+        self._tune_fold = 1 if symmetric else math.prod(modes[:-1])
+        # (axis, modes) of the leading axes, prebuilt for the per-call
+        # fold/unfold loops.
+        self._lead = tuple(enumerate(modes[:-1]))
 
     def _plan_caches(self) -> PlanCaches:
         return self._plans if self._plans is not None else current_plan_caches()
@@ -774,163 +770,185 @@ class CompiledSpectralConv1D:
             self._spec_weights[dtype] = wc
         return wc
 
+    def _spatial(self, spatial) -> tuple:
+        """``spatial`` as one int per spatial axis (a bare int is the
+        1-D spelling)."""
+        try:
+            dims = tuple(int(n) for n in spatial)
+        except TypeError:
+            dims = (int(spatial),)
+        if len(dims) != self.ndim:
+            raise ValueError(
+                f"spatial must have {self.ndim} entries (one per spatial "
+                f"axis), got {spatial!r}"
+            )
+        return dims
+
     # -- spectrum-in / spectrum-out entry points (rollout serving) ------
 
     def forward_spectrum(self, x: np.ndarray) -> np.ndarray:
-        """Truncated spectrum of ``x`` — the state a spectrum-resident
-        rollout (:meth:`repro.api.Session.rollout`) keeps between steps.
+        """Truncated ``(batch, C_in, *modes)`` spectrum corner of ``x`` —
+        the state a spectrum-resident rollout
+        (:meth:`repro.api.Session.rollout`) keeps between steps.
 
-        ``inverse_spectrum(step_spectrum(forward_spectrum(x)), X)``
+        ``inverse_spectrum(step_spectrum(forward_spectrum(x)), spatial)``
         computes the same convolution as ``self(x)`` without paying the
         inverse/forward transform pair between consecutive steps.
         """
         x = np.asarray(x)
-        _check_inputs(x, self.weight, 3)
-        dim_x = x.shape[2]
-        if not (1 <= self.modes <= dim_x):
-            raise ValueError(
-                f"modes must be in [1, {dim_x}], got {self.modes}"
-            )
+        _check_inputs(x, self.weight, self.ndim + 2)
+        spatial = x.shape[2:]
+        _check_modes(self.modes, spatial)
         dtype = complex_dtype_for(x.dtype)
         plans = self._plan_caches()
         if self.symmetric:
             if np.iscomplexobj(x):
                 raise ValueError("symmetric executor expects real input")
-            batch, c_in, n = x.shape
-            rfft = plans.pruned_rfft(dim_x, self.modes, dtype)
-            flat = np.ascontiguousarray(
-                x, dtype=rfft.real_dtype
-            ).reshape(batch * c_in, n)
-            return rfft.execute(flat).reshape(batch, c_in, self.modes)
-        return truncated_fft_auto(
-            x.astype(dtype, copy=False), self.modes, axis=2, caches=plans
-        )
+            rfft = plans.pruned_rfft(spatial[-1], self.modes[-1], dtype)
+            return _symmetric_forward(x, rfft, self.modes, plans)
+        sk = x.astype(dtype, copy=False)
+        for axis, m in enumerate(self.modes, start=2):
+            sk = truncated_fft_auto(sk, m, axis=axis, caches=plans)
+        return sk
 
     def step_spectrum(self, sk: np.ndarray) -> np.ndarray:
         """One spectral-conv application entirely in the spectrum: the
-        k-panel CGEMM over the kept modes, no transforms.
+        k-panel CGEMM over the flattened kept corner, no transforms.
 
-        ``sk`` is a ``(batch, C_in, modes)`` truncated spectrum; returns
-        the ``(batch, C_out, modes)`` spectrum of the convolved signal —
+        ``sk`` is a ``(batch, C_in, *modes)`` truncated spectrum; returns
+        the ``(batch, C_out, *modes)`` spectrum of the convolved signal —
         exactly the quantity the fused pass accumulates before its
         inverse transform.
         """
         sk = np.asarray(sk)
-        c_in, c_out = self.weight.shape
-        if sk.ndim != 3 or sk.shape[1] != c_in or sk.shape[2] != self.modes:
+        c_in = self.weight.shape[0]
+        if sk.shape[1:] != (c_in, *self.modes):
             raise ValueError(
-                f"expected spectrum of shape (batch, {c_in}, "
-                f"{self.modes}), got {sk.shape}"
+                f"expected spectrum of shape (batch, "
+                f"{', '.join(map(str, (c_in, *self.modes)))}), "
+                f"got {sk.shape}"
             )
         dtype = complex_dtype_for(sk.dtype)
-        plans = self._plan_caches()
-        acc = np.empty((sk.shape[0], c_out, self.modes), dtype)
-        panel_gemm(np.ascontiguousarray(sk, dtype=dtype),
-                   self._spectrum_weight(dtype), acc, self.k_tb,
-                   kernels=plans.kernels())
-        return acc
+        return _corner_gemm(sk, self._spectrum_weight(dtype), self.k_tb,
+                            self._plan_caches().kernels())
 
     def inverse_spectrum(self, sk: np.ndarray, spatial) -> np.ndarray:
         """Spatial-domain signal of a spectral state: the pruned
-        zero-padded inverse (complex output, like the fused pass), or —
-        symmetric — the C2R half-spectrum inverse (real output)."""
+        zero-padded inverse along every axis (complex output, like the
+        fused pass), or — symmetric — the C2R half-spectrum inverse
+        (real output).  ``spatial`` is the output's spatial shape, one
+        entry per axis (a bare int for 1-D)."""
         sk = np.asarray(sk)
-        dim_x = (int(spatial[0]) if isinstance(spatial, (tuple, list))
-                 else int(spatial))
+        spatial = self._spatial(spatial)
         dtype = complex_dtype_for(sk.dtype)
         plans = self._plan_caches()
         if self.symmetric:
-            if self.modes > dim_x // 2:
-                raise ValueError(
-                    f"symmetric filtering needs modes <= X/2, got "
-                    f"{self.modes} on a length-{dim_x} grid"
-                )
-            batch, c = sk.shape[0], sk.shape[1]
-            irfft = plans.pruned_irfft(dim_x, self.modes, dtype)
-            flat = np.ascontiguousarray(sk, dtype=dtype).reshape(
-                batch * c, sk.shape[2]
-            )
-            out = irfft.execute(flat)
-            return out.reshape(batch, c, dim_x)
-        return padded_ifft_auto(
-            sk.astype(dtype, copy=False), dim_x, axis=2, caches=plans
-        )
+            _check_half_spectrum(self.modes, spatial)
+            irfft = plans.pruned_irfft(spatial[-1], self.modes[-1], dtype)
+            return _symmetric_inverse(np.ascontiguousarray(sk, dtype=dtype),
+                                      spatial, irfft, dtype, plans)
+        y = sk.astype(dtype, copy=False)
+        for axis in reversed(range(self.ndim)):
+            y = padded_ifft_auto(y, spatial[axis], axis=axis + 2,
+                                 caches=plans)
+        return y
 
     def reanalyze_spectrum(self, sk: np.ndarray, spatial=None) -> np.ndarray:
         """The output spectrum as the *next* step's forward analysis
         would see it — the exact linear map the skipped inverse/forward
         transform pair applies between rollout steps.  Identity for the
         paper's C2C convention (complex output, nothing discarded); the
-        symmetric convention projects the DC bin real."""
+        symmetric convention applies :func:`project_hermitian`, which
+        needs the leading axes' lengths — pass ``spatial`` (a 1-D
+        executor may omit it)."""
         if not self.symmetric:
             return sk
-        return _project_dc_real(np.asarray(sk))
+        lead = () if spatial is None else self._spatial(spatial)[:-1]
+        if len(lead) != self.ndim - 1:
+            raise ValueError(
+                f"symmetric reanalysis needs the spatial shape "
+                f"({self.ndim} entries)"
+            )
+        return project_hermitian(sk, lead)
 
-    def _tiles_for(self, dtype: np.dtype, dim_x: int, batch: int,
+    # -- tiles ----------------------------------------------------------
+
+    def _tiles_for(self, dtype: np.dtype, spatial: tuple, batch: int,
                    retune: bool = False) -> Tiles:
         if self.tiles == "default":
             return (Tiles(0, self.k_tb) if self.symmetric
                     else Tiles(self.signal_tile, self.k_tb))
         if isinstance(self.tiles, Tiles):
             return self.tiles
+        return self._tune(dtype, spatial, batch * self._tune_fold, retune)
+
+    def _tune(self, dtype: np.dtype, spatial: tuple, units: int,
+              retune: bool = False) -> Tiles:
+        """Resolve the tiles for ``units`` tuned units: pencils of the
+        fused stage, or whole signals of the symmetric pass."""
+        _check_modes(self.modes, spatial)
         tuner = self._tuner if self._tuner is not None else default_tuner()
         plans = self._plan_caches()
         if self.symmetric:
             return _autotune_symmetric_tiles(
-                "sym1d", self.weight, (self.modes,), (dim_x,), self.k_tb,
-                dtype, plans, tuner, batch,
-                build=lambda bt: _StagedSymmetric1D(
-                    self.weight, self.modes, dim_x, self.k_tb, dtype,
+                f"sym{self.ndim}d", self.weight, self.modes, spatial,
+                self.k_tb, dtype, plans, tuner, units,
+                build=lambda bt: _StagedSymmetric(
+                    self.weight, self.modes, spatial, self.k_tb, dtype,
                     plans=plans, batch_tile=bt,
                 ),
                 retune=retune,
             )
         return _autotune_fused_tiles(
-            self.weight, self.modes, dim_x, self.k_tb,
-            Tiles(self.signal_tile, self.k_tb), dtype, plans, tuner, batch,
+            self.weight, self.modes[-1], spatial[-1], self.k_tb,
+            Tiles(self.signal_tile, self.k_tb), dtype, plans, tuner, units,
             retune=retune,
         )
 
     def resolve_tiles(self, batch: int, spatial,
                       dtype=np.float32, retune: bool = False) -> Tiles:
         """Resolve (and for ``tiles="auto"`` tune, on a miss) the tiling
-        this executor will use for one ``(batch, C_in, X)`` geometry —
-        the warmup hook :meth:`repro.api.Session.warmup` calls so
-        serving never pays the tune inline.  ``retune`` forces a fresh
-        timed search, overwriting memo and store."""
-        dim_x = spatial[0] if isinstance(spatial, (tuple, list)) else spatial
+        this executor will use for one ``(batch, C_in, *spatial)``
+        geometry — the warmup hook :meth:`repro.api.Session.warmup`
+        calls so serving never pays the tune inline.  ``retune`` forces
+        a fresh timed search, overwriting memo and store."""
         return self._tiles_for(
-            complex_dtype_for(dtype), int(dim_x), batch, retune=retune
+            complex_dtype_for(dtype), self._spatial(spatial), batch,
+            retune=retune,
         )
 
     def warm_tiles(self, batch: int, spatial, dtype=np.float32) -> int:
         """Pre-tune *every* batch bucket a stream of up to ``batch``
         signals can resolve to (micro-batching serves smaller
         concatenations than the nominal problem batch), so no serving
-        call ever runs the timed search inline.  Returns the number of
+        call ever runs the timed search inline.  The fused dataflow
+        enumerates *pencil*-batch buckets — its stage runs over
+        ``batch * prod(modes[:-1])`` pencils.  Returns the number of
         resolutions; 0 unless ``tiles="auto"``."""
         if self.tiles != "auto":
             return 0
-        dim_x = spatial[0] if isinstance(spatial, (tuple, list)) else spatial
+        spatial = self._spatial(spatial)
         cdt = complex_dtype_for(dtype)
-        buckets = bucket_ladder(batch)
+        buckets = bucket_ladder(batch * self._tune_fold)
         for bucket in buckets:
-            self._tiles_for(cdt, int(dim_x), bucket)
+            self._tune(cdt, spatial, bucket)
         return len(buckets)
 
-    def _stage_for(self, dtype: np.dtype, dim_x: int, tiles: Tiles):
-        key = (dtype, dim_x, tiles)
+    def _stage_for(self, dtype: np.dtype, spatial: tuple, tiles: Tiles):
+        key = (dtype, spatial, tiles)
         staged = self._staged.get(key)
         if staged is None:
+            # A geometry is validated once, when first staged (or tuned).
+            _check_modes(self.modes, spatial)
             if self.symmetric:
-                staged = _StagedSymmetric1D(
-                    self.weight, self.modes, dim_x, self.k_tb, dtype,
+                staged = _StagedSymmetric(
+                    self.weight, self.modes, spatial, self.k_tb, dtype,
                     plans=self._plan_caches(),
                     batch_tile=tiles.signal_tile,
                 )
             else:
                 staged = _StagedFused1D(
-                    self.weight, self.modes, dim_x,
+                    self.weight, self.modes[-1], spatial[-1],
                     self.k_tb, tiles.signal_tile, dtype,
                     plans=self._plan_caches(), k_block=tiles.k_tb,
                 )
@@ -940,49 +958,59 @@ class CompiledSpectralConv1D:
     def __call__(self, x: np.ndarray,
                  xk_trunc: np.ndarray | None = None) -> np.ndarray:
         """Run the convolution.  ``xk_trunc`` (symmetric mode only) is an
-        optional precomputed truncated half spectrum ``(batch, C_in,
-        modes)`` — callers that already hold it (the training layers
-        cache it for backward) skip the forward R2C pass."""
+        optional precomputed truncated spectrum corner ``(batch, C_in,
+        *modes)`` — callers that already hold it (the training layers
+        cache it for backward) skip the forward transforms."""
         x = np.asarray(x)
-        _check_inputs(x, self.weight, 3)
-        dim_x = x.shape[2]
-        if not (1 <= self.modes <= dim_x):
-            raise ValueError(
-                f"modes must be in [1, {dim_x}], got {self.modes}"
-            )
+        _check_inputs(x, self.weight, self.ndim + 2)
+        spatial = x.shape[2:]
         if self.symmetric and np.iscomplexobj(x):
             raise ValueError("symmetric executor expects real input")
         if xk_trunc is not None and not self.symmetric:
             raise ValueError("xk_trunc applies to symmetric executors only")
         dtype = complex_dtype_for(x.dtype)
-        tiles = self._tiles_for(dtype, dim_x, max(x.shape[0], 1))
-        staged = self._stage_for(dtype, dim_x, tiles)
+        tiles = self._tiles_for(dtype, spatial, max(x.shape[0], 1))
+        staged = self._stage_for(dtype, spatial, tiles)
         if self.symmetric:
             return staged.run(x, xk_trunc)
-        return staged.run_fused(x)
+        pencils = x
+        for _, m in self._lead:
+            # Standalone FFT with built-in truncation along the next
+            # leading axis (the first one casts to the working dtype);
+            # its kept modes fold into the pencil batch.
+            xk = truncated_fft(pencils.astype(dtype, copy=False), m, axis=2,
+                               caches=self._plan_caches())
+            pencils = xk.swapaxes(1, 2).reshape(
+                xk.shape[0] * m, xk.shape[1], *xk.shape[3:]
+            )
+        out = staged.run_fused(pencils)
+        for axis, m in reversed(self._lead):
+            # Unfold the pencils of one leading axis and run its iFFT
+            # with built-in zero padding.
+            yk = out.reshape(out.shape[0] // m, m, *out.shape[1:])
+            out = truncated_ifft(yk.swapaxes(1, 2), spatial[axis], axis=2,
+                                 caches=self._plan_caches())
+        return out
 
 
-class CompiledSpectralConv2D:
-    """Reusable executor for the fused 2-D spectral convolution.
+class CompiledSpectralConv1D(CompiledSpectralConv):
+    """The 1-D executor: ``modes`` kept bins of ``(batch, C_in, X)``
+    input (see :class:`CompiledSpectralConv`)."""
 
-    The width FFT and width inverse run through the cached pruned plans;
-    the fused height pass reuses the 1-D tile machinery over the
-    (batch x kept-row) pencils.  Byte-identical to
-    :func:`repro.core.legacy.fused_fft_gemm_ifft_2d`.
+    def __init__(self, weight: np.ndarray, modes: int,
+                 k_tb: int = _DEFAULT_K_TB,
+                 signal_tile: int = _DEFAULT_SIGNAL_TILE,
+                 symmetric: bool = False,
+                 plans: PlanCaches | None = None,
+                 tiles="default",
+                 tuner: Tuner | None = None):
+        super().__init__(weight, (modes,), k_tb, signal_tile, symmetric,
+                         plans, tiles, tuner)
 
-    ``symmetric=True`` selects the half-spectrum convention on real
-    input: R2C along Y (packed-real plans), the paper's first-bins C2C
-    filter along X, and a real-valued output via the C2R inverse.
-    Requires ``modes_y <= Y/2``.
 
-    ``tiles`` works exactly as on :class:`CompiledSpectralConv1D`; the
-    fused (non-symmetric) dataflow applies it to the per-pencil fused
-    stage along Y (a ``batch * modes_x`` pencil batch of the 1-D
-    computation, sharing its tune entries), the symmetric dataflow to
-    the whole-pass batch tile.
-    """
-
-    ndim = 2
+class CompiledSpectralConv2D(CompiledSpectralConv):
+    """The 2-D executor: a ``modes_x x modes_y`` kept corner of
+    ``(batch, C_in, X, Y)`` input (see :class:`CompiledSpectralConv`)."""
 
     def __init__(self, weight: np.ndarray, modes_x: int, modes_y: int,
                  k_tb: int = _DEFAULT_K_TB,
@@ -991,277 +1019,8 @@ class CompiledSpectralConv2D:
                  plans: PlanCaches | None = None,
                  tiles="default",
                  tuner: Tuner | None = None):
-        weight = np.asarray(weight)
-        if weight.ndim != 2:
-            raise ValueError(
-                f"weight must be (C_in, C_out), got {weight.shape}"
-            )
-        if modes_x < 1 or modes_y < 1:
-            raise ValueError(
-                f"modes must be positive, got ({modes_x}, {modes_y})"
-            )
-        self.weight = weight
-        self.modes_x = modes_x
-        self.modes_y = modes_y
-        self.k_tb = k_tb
-        self.signal_tile = signal_tile
-        self.symmetric = symmetric
-        self.tiles = _normalise_tiles(tiles, k_tb, symmetric)
-        self._tuner = tuner
-        self._plans = plans
-        self._staged: dict[tuple, object] = {}
-        self._spec_weights: dict = {}
-
-    def _plan_caches(self) -> PlanCaches:
-        return self._plans if self._plans is not None else current_plan_caches()
-
-    def _spectrum_weight(self, dtype: np.dtype) -> np.ndarray:
-        wc = self._spec_weights.get(dtype)
-        if wc is None:
-            wc = _cast_weight(self.weight, dtype)
-            self._spec_weights[dtype] = wc
-        return wc
-
-    # -- spectrum-in / spectrum-out entry points (rollout serving) ------
-
-    def forward_spectrum(self, x: np.ndarray) -> np.ndarray:
-        """Truncated ``(batch, C_in, modes_x, modes_y)`` spectrum corner
-        of ``x`` — the rollout state (see
-        :meth:`CompiledSpectralConv1D.forward_spectrum`)."""
-        x = np.asarray(x)
-        _check_inputs(x, self.weight, 4)
-        batch, c_in, dim_x, dim_y = x.shape
-        if not (1 <= self.modes_x <= dim_x) or not (
-            1 <= self.modes_y <= dim_y
-        ):
-            raise ValueError(
-                f"modes ({self.modes_x}, {self.modes_y}) out of range "
-                f"for ({dim_x}, {dim_y})"
-            )
-        dtype = complex_dtype_for(x.dtype)
-        plans = self._plan_caches()
-        if self.symmetric:
-            if np.iscomplexobj(x):
-                raise ValueError("symmetric executor expects real input")
-            rfft = plans.pruned_rfft(dim_y, self.modes_y, dtype)
-            flat = np.ascontiguousarray(
-                x, dtype=rfft.real_dtype
-            ).reshape(batch * c_in * dim_x, dim_y)
-            xk_y = rfft.execute(flat).reshape(
-                batch, c_in, dim_x, self.modes_y
-            )
-            return truncated_fft_auto(
-                xk_y, self.modes_x, axis=2, caches=plans,
-            )
-        xk_x = truncated_fft_auto(
-            x.astype(dtype, copy=False), self.modes_x, axis=2, caches=plans
-        )
-        return truncated_fft_auto(
-            xk_x, self.modes_y, axis=3, caches=plans
-        )
-
-    def step_spectrum(self, sk: np.ndarray) -> np.ndarray:
-        """One spectral-conv application entirely in the spectrum: the
-        shared CGEMM over the flattened kept corner, no transforms."""
-        sk = np.asarray(sk)
-        c_in, c_out = self.weight.shape
-        if sk.ndim != 4 or sk.shape[1:] != (
-            c_in, self.modes_x, self.modes_y
-        ):
-            raise ValueError(
-                f"expected spectrum of shape (batch, {c_in}, "
-                f"{self.modes_x}, {self.modes_y}), got {sk.shape}"
-            )
-        dtype = complex_dtype_for(sk.dtype)
-        plans = self._plan_caches()
-        batch = sk.shape[0]
-        m = self.modes_x * self.modes_y
-        flat = np.ascontiguousarray(sk, dtype=dtype).reshape(batch, c_in, m)
-        acc = np.empty((batch, c_out, m), dtype)
-        panel_gemm(flat, self._spectrum_weight(dtype), acc, self.k_tb,
-                   kernels=plans.kernels())
-        return acc.reshape(batch, c_out, self.modes_x, self.modes_y)
-
-    def inverse_spectrum(self, sk: np.ndarray, spatial) -> np.ndarray:
-        """Spatial-domain signal of a spectral state (complex output;
-        symmetric executors return the real C2R inverse)."""
-        sk = np.asarray(sk)
-        dim_x, dim_y = int(spatial[0]), int(spatial[1])
-        dtype = complex_dtype_for(sk.dtype)
-        plans = self._plan_caches()
-        if self.symmetric:
-            if self.modes_y > dim_y // 2:
-                raise ValueError(
-                    f"symmetric filtering needs modes_y <= Y/2, got "
-                    f"{self.modes_y} on a length-{dim_y} grid"
-                )
-            batch, c = sk.shape[0], sk.shape[1]
-            y_x = padded_ifft_auto(
-                np.ascontiguousarray(sk, dtype=dtype), dim_x, axis=2,
-                caches=plans,
-            )
-            irfft = plans.pruned_irfft(dim_y, self.modes_y, dtype)
-            out = irfft.execute(
-                np.ascontiguousarray(y_x, dtype=dtype).reshape(
-                    batch * c * dim_x, y_x.shape[-1]
-                )
-            )
-            return out.reshape(batch, c, dim_x, dim_y)
-        y_y = padded_ifft_auto(
-            sk.astype(dtype, copy=False), dim_y, axis=3, caches=plans
-        )
-        return padded_ifft_auto(y_y, dim_x, axis=2, caches=plans)
-
-    def reanalyze_spectrum(self, sk: np.ndarray, spatial=None) -> np.ndarray:
-        """The output spectrum as the next step's forward analysis would
-        see it (see :meth:`CompiledSpectralConv1D.reanalyze_spectrum`).
-        The symmetric convention needs ``spatial`` — the Hermitian
-        projection of the y-DC column depends on the padded X length."""
-        if not self.symmetric:
-            return sk
-        if spatial is None:
-            raise ValueError(
-                "symmetric reanalysis needs the spatial shape (dim_x, dim_y)"
-            )
-        return _project_herm_x(np.asarray(sk), int(spatial[0]))
-
-    def _tiles_for(self, dtype: np.dtype, dim_x: int, dim_y: int,
-                   batch: int, retune: bool = False) -> Tiles:
-        if self.tiles == "default":
-            return (Tiles(0, self.k_tb) if self.symmetric
-                    else Tiles(self.signal_tile, self.k_tb))
-        if isinstance(self.tiles, Tiles):
-            return self.tiles
-        tuner = self._tuner if self._tuner is not None else default_tuner()
-        plans = self._plan_caches()
-        if self.symmetric:
-            return _autotune_symmetric_tiles(
-                "sym2d", self.weight, (self.modes_x, self.modes_y),
-                (dim_x, dim_y), self.k_tb, dtype, plans, tuner, batch,
-                build=lambda bt: _StagedSymmetric2D(
-                    self.weight, self.modes_x, self.modes_y,
-                    dim_x, dim_y, self.k_tb, dtype, plans=plans,
-                    batch_tile=bt,
-                ),
-                retune=retune,
-            )
-        # The fused stage runs along Y over (batch * modes_x) pencils —
-        # tune exactly that 1-D computation.
-        return _autotune_fused_tiles(
-            self.weight, self.modes_y, dim_y, self.k_tb,
-            Tiles(self.signal_tile, self.k_tb), dtype, plans, tuner,
-            batch * self.modes_x,
-            retune=retune,
-        )
-
-    def resolve_tiles(self, batch: int, spatial,
-                      dtype=np.float32, retune: bool = False) -> Tiles:
-        """Resolve (and for ``tiles="auto"`` tune, on a miss) the tiling
-        for one ``(batch, C_in, X, Y)`` geometry — the
-        :meth:`repro.api.Session.warmup` hook.  ``retune`` forces a
-        fresh timed search."""
-        dim_x, dim_y = (int(spatial[0]), int(spatial[1]))
-        return self._tiles_for(
-            complex_dtype_for(dtype), dim_x, dim_y, batch, retune=retune
-        )
-
-    def warm_tiles(self, batch: int, spatial, dtype=np.float32) -> int:
-        """Pre-tune every batch bucket reachable by a stream of up to
-        ``batch`` requests (see :meth:`CompiledSpectralConv1D.warm_tiles`).
-        The fused dataflow enumerates *pencil*-batch buckets — the fused
-        stage runs over ``batch * modes_x`` pencils, and smaller
-        micro-batches land in smaller pencil buckets."""
-        if self.tiles != "auto":
-            return 0
-        dim_x, dim_y = (int(spatial[0]), int(spatial[1]))
-        cdt = complex_dtype_for(dtype)
-        if self.symmetric:
-            buckets = bucket_ladder(batch)
-            for bucket in buckets:
-                self._tiles_for(cdt, dim_x, dim_y, bucket)
-            return len(buckets)
-        tuner = self._tuner if self._tuner is not None else default_tuner()
-        plans = self._plan_caches()
-        buckets = bucket_ladder(batch * self.modes_x)
-        for bucket in buckets:
-            _autotune_fused_tiles(
-                self.weight, self.modes_y, dim_y, self.k_tb,
-                Tiles(self.signal_tile, self.k_tb), cdt, plans, tuner,
-                bucket,
-            )
-        return len(buckets)
-
-    def _stage_for(self, dtype: np.dtype, dim_y: int,
-                   tiles: Tiles) -> _StagedFused1D:
-        key = (dtype, dim_y, tiles)
-        staged = self._staged.get(key)
-        if staged is None:
-            staged = _StagedFused1D(
-                self.weight, self.modes_y, dim_y,
-                self.k_tb, tiles.signal_tile, dtype,
-                plans=self._plan_caches(), k_block=tiles.k_tb,
-            )
-            self._staged[key] = staged
-        return staged
-
-    def _stage_symmetric(self, dtype: np.dtype, dim_x: int,
-                         dim_y: int, tiles: Tiles) -> _StagedSymmetric2D:
-        key = (dtype, dim_x, dim_y, tiles, "sym")
-        staged = self._staged.get(key)
-        if staged is None:
-            staged = _StagedSymmetric2D(
-                self.weight, self.modes_x, self.modes_y,
-                dim_x, dim_y, self.k_tb, dtype,
-                plans=self._plan_caches(),
-                batch_tile=tiles.signal_tile,
-            )
-            self._staged[key] = staged
-        return staged
-
-    def __call__(self, x: np.ndarray,
-                 xk_trunc: np.ndarray | None = None) -> np.ndarray:
-        """Run the convolution.  ``xk_trunc`` (symmetric mode only) is an
-        optional precomputed truncated spectrum corner ``(batch, C_in,
-        modes_x, modes_y)``; callers that already hold it skip the
-        forward transforms."""
-        x = np.asarray(x)
-        _check_inputs(x, self.weight, 4)
-        batch, c_in, dim_x, dim_y = x.shape
-        if not (1 <= self.modes_x <= dim_x) or not (1 <= self.modes_y <= dim_y):
-            raise ValueError(
-                f"modes ({self.modes_x}, {self.modes_y}) out of range for "
-                f"({dim_x}, {dim_y})"
-            )
-        if xk_trunc is not None and not self.symmetric:
-            raise ValueError("xk_trunc applies to symmetric executors only")
-        dtype = complex_dtype_for(x.dtype)
-        tiles = self._tiles_for(dtype, dim_x, dim_y, max(batch, 1))
-        if self.symmetric:
-            if np.iscomplexobj(x):
-                raise ValueError("symmetric executor expects real input")
-            return self._stage_symmetric(
-                dtype, dim_x, dim_y, tiles
-            ).run(x, xk_trunc)
-        c_out = self.weight.shape[1]
-        plans = self._plan_caches()
-
-        # Stage 1: width FFT with built-in truncation.
-        xk_x = truncated_fft(
-            x.astype(dtype, copy=False), self.modes_x, axis=2, caches=plans
-        )
-
-        # Fused stage along Y over (batch, kept-x-row) pencils.
-        pencils = xk_x.transpose(0, 2, 1, 3).reshape(
-            batch * self.modes_x, c_in, dim_y
-        )
-        staged = self._stage_for(dtype, dim_y, tiles)
-        out_pencils = staged.run_fused(pencils)
-
-        yk_x = out_pencils.reshape(
-            batch, self.modes_x, c_out, dim_y
-        ).transpose(0, 2, 1, 3)
-        # Final stage: width iFFT with built-in zero padding.
-        return truncated_ifft(yk_x, dim_x, axis=2, caches=plans)
+        super().__init__(weight, (modes_x, modes_y), k_tb, signal_tile,
+                         symmetric, plans, tiles, tuner)
 
 
 def compile_spectral_conv(
@@ -1286,21 +1045,13 @@ def compile_spectral_conv(
     geometry — byte-identical output, see
     :mod:`repro.core.autotune`).
     """
-    if isinstance(modes, tuple):
-        if len(modes) == 1:
-            return CompiledSpectralConv1D(
-                weight, modes[0], k_tb, signal_tile, symmetric=symmetric,
-                plans=plans, tiles=tiles, tuner=tuner,
-            )
-        if len(modes) == 2:
-            return CompiledSpectralConv2D(
-                weight, modes[0], modes[1], k_tb, signal_tile,
-                symmetric=symmetric, plans=plans, tiles=tiles, tuner=tuner,
-            )
+    modes = modes if isinstance(modes, tuple) else (int(modes),)
+    if not 1 <= len(modes) <= 2:
         raise ValueError(
             f"modes must have 1 or 2 entries, got {len(modes)}"
         )
-    return CompiledSpectralConv1D(
-        weight, int(modes), k_tb, signal_tile, symmetric=symmetric,
+    executor = (CompiledSpectralConv1D, CompiledSpectralConv2D)[len(modes) - 1]
+    return executor(
+        weight, *modes, k_tb, signal_tile, symmetric=symmetric,
         plans=plans, tiles=tiles, tuner=tuner,
     )

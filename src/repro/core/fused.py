@@ -13,8 +13,8 @@ Since the compiled-executor refactor they are thin wrappers over
 (the cast is hoisted out of the k-loops) and executes through the global
 FFT plan cache, producing byte-identical output to the frozen legacy
 loops in :mod:`repro.core.legacy`.  Hold a
-:class:`~repro.core.compiled.CompiledSpectralConv1D` /
-``...2D`` executor to amortise the staging itself across calls.
+:class:`~repro.core.compiled.CompiledSpectralConv` executor to amortise
+the staging itself across calls.
 
 The pruned transforms (:mod:`repro.fft.pruned`) mean no full-length
 spectrum is ever materialised, mirroring the kernel's property that
@@ -26,8 +26,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.compiled import (
+    _DEFAULT_K_TB,
+    _DEFAULT_SIGNAL_TILE,
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
+    _check_inputs,
     _StagedFused1D,
 )
 from repro.core.dtypes import complex_dtype_for
@@ -40,21 +43,6 @@ __all__ = [
     "fused_fft_gemm_ifft_1d",
     "fused_fft_gemm_ifft_2d",
 ]
-
-_DEFAULT_K_TB = 8
-_DEFAULT_SIGNAL_TILE = 16
-
-
-def _check_inputs(x: np.ndarray, weight: np.ndarray, ndim: int) -> None:
-    if x.ndim != ndim:
-        raise ValueError(f"expected {ndim}-D input, got shape {x.shape}")
-    if weight.ndim != 2:
-        raise ValueError(f"weight must be (C_in, C_out), got {weight.shape}")
-    if weight.shape[0] != x.shape[1]:
-        raise ValueError(
-            f"weight C_in={weight.shape[0]} != input channels {x.shape[1]}"
-        )
-
 
 def fused_fft_gemm_1d(
     x: np.ndarray,
@@ -123,9 +111,6 @@ def fused_fft_gemm_ifft_1d(
     x = np.asarray(x)
     weight = np.asarray(weight)
     _check_inputs(x, weight, 3)
-    dim_x = x.shape[2]
-    if not (1 <= modes <= dim_x):
-        raise ValueError(f"modes must be in [1, {dim_x}], got {modes}")
     conv = CompiledSpectralConv1D(weight, modes, k_tb, signal_tile)
     return conv(x)
 
@@ -148,10 +133,5 @@ def fused_fft_gemm_ifft_2d(
     x = np.asarray(x)
     weight = np.asarray(weight)
     _check_inputs(x, weight, 4)
-    batch, c_in, dim_x, dim_y = x.shape
-    if not (1 <= modes_x <= dim_x) or not (1 <= modes_y <= dim_y):
-        raise ValueError(
-            f"modes ({modes_x}, {modes_y}) out of range for ({dim_x}, {dim_y})"
-        )
     conv = CompiledSpectralConv2D(weight, modes_x, modes_y, k_tb, signal_tile)
     return conv(x)

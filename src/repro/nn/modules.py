@@ -20,6 +20,11 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core.compiled import (
+    CompiledSpectralConv1D,
+    CompiledSpectralConv2D,
+    project_hermitian,
+)
 from repro.core.fused import fused_fft_gemm_ifft_1d, fused_fft_gemm_ifft_2d
 from repro.fft.pruned import padded_ifft_auto as _pad_ifft
 from repro.fft.pruned import truncated_fft_auto as _trunc_fft
@@ -267,28 +272,32 @@ class SpectralConv1d(Module):
             return np.einsum("bim,iom->bom", xk, self.weight.value)
         return np.einsum("bim,io->bom", xk, self.weight.value)
 
-    def from_spectrum(self, yk: np.ndarray, n_out: int) -> np.ndarray:
-        """Spatial-domain output from a truncated output spectrum."""
+    def from_spectrum(self, yk: np.ndarray, n_out) -> np.ndarray:
+        """Spatial-domain output from a truncated output spectrum;
+        ``n_out`` is the output length ``X`` or the spatial shape
+        ``(X,)``."""
+        if isinstance(n_out, tuple):
+            (n_out,) = n_out
         if self.symmetric:
             return _pad_irfft(yk, n_out, axis=-1)
         return _pad_ifft(yk, n_out, axis=-1).real
 
-    def reanalyze_spectrum(self, yk: np.ndarray, n_out: int = 0) -> np.ndarray:
+    def reanalyze_spectrum(self, yk: np.ndarray, n_out=0) -> np.ndarray:
         """The output spectrum as the next step's ``spectrum`` would see
         it.  The skipped irfft->rfft pair is not the identity: the real
         synthesis discards Im(DC), so reanalysis projects the DC bin
-        real.  Only the symmetric convention has a spectrum-resident
-        form — the non-symmetric layer takes ``.real`` in the spatial
-        domain, which mixes every bin."""
+        real (:func:`repro.core.compiled.project_hermitian` with no
+        leading axes; ``n_out`` is not needed).  Only the symmetric
+        convention has a spectrum-resident form — the non-symmetric
+        layer takes ``.real`` in the spatial domain, which mixes every
+        bin."""
         if not self.symmetric:
             raise ValueError(
                 "non-symmetric SpectralConv1d has no spectrum-resident "
                 "reanalysis (the spatial .real projection mixes bins); "
                 "use the exact rollout profile"
             )
-        yk = np.asarray(yk).copy()
-        yk[..., 0] = yk[..., 0].real
-        return yk
+        return project_hermitian(yk)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.c_in:
@@ -316,8 +325,6 @@ class SpectralConv1d(Module):
                 # per call: the optimizer mutates the weight buffer
                 # between steps, so held staging would go stale — same
                 # tradeoff as the fused functional path below.
-                from repro.core.compiled import CompiledSpectralConv1D
-
                 conv = CompiledSpectralConv1D(
                     self.weight.value, self.modes, symmetric=True
                 )
@@ -455,9 +462,7 @@ class SpectralConv2d(Module):
                 "reanalysis (the spatial .real projection mixes bins); "
                 "use the exact rollout profile"
             )
-        from repro.core.compiled import _project_herm_x
-
-        return _project_herm_x(np.asarray(yk), int(shape[0]))
+        return project_hermitian(yk, (int(shape[0]),))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.c_in:
@@ -475,8 +480,6 @@ class SpectralConv2d(Module):
             xk = self.spectrum(x)
             self._xk = xk
             if not self.per_mode:
-                from repro.core.compiled import CompiledSpectralConv2D
-
                 conv = CompiledSpectralConv2D(
                     self.weight.value, self.modes_x, self.modes_y,
                     symmetric=True,

@@ -8,6 +8,7 @@ from repro.api import Runner, clear_plan_cache, plan
 from repro.core import compiled as core_compiled
 from repro.core import fused, legacy
 from repro.core.compiled import (
+    CompiledSpectralConv,
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
     compile_spectral_conv,
@@ -349,3 +350,149 @@ def test_speedup_memoised_on_plan():
     first = p.speedup_vs_baseline()
     assert p._speedup is not None
     assert p.speedup_vs_baseline() == first
+
+
+# ---------------------------------------------------------------------------
+# the N-D executor: 3-D by construction, spatial arity, tune-key pins
+# ---------------------------------------------------------------------------
+
+def _c2c_oracle_nd(x, w, modes):
+    """First bins along every axis, shared CGEMM, zero-padded inverse."""
+    axes = tuple(range(2, x.ndim))
+    corner = (slice(None), slice(None)) + tuple(slice(0, m) for m in modes)
+    xk = np.fft.fftn(x, axes=axes)[corner]
+    out_ft = np.zeros((x.shape[0], w.shape[1]) + x.shape[2:], dtype=complex)
+    out_ft[corner] = np.einsum("bi...,io->bo...", xk, w)
+    return np.fft.ifftn(out_ft, axes=axes)
+
+
+def _sym_oracle_nd(x, w, modes):
+    """First bins along the leading axes, the rfft half spectrum along
+    the last, shared CGEMM, then the inverse chain."""
+    *lead, n_last = x.shape[2:]
+    xk = np.fft.rfft(x, axis=-1)[..., :modes[-1]]
+    for axis, m in enumerate(modes[:-1], start=2):
+        xk = np.take(np.fft.fft(xk, axis=axis), range(m), axis=axis)
+    out_ft = np.zeros((x.shape[0], w.shape[1], *lead, n_last // 2 + 1),
+                      dtype=complex)
+    corner = (slice(None), slice(None)) + tuple(slice(0, m) for m in modes)
+    out_ft[corner] = np.einsum("bi...,io->bo...", xk, w)
+    for axis in range(2, 2 + len(lead)):
+        out_ft = np.fft.ifft(out_ft, axis=axis)
+    return np.fft.irfft(out_ft, n=n_last, axis=-1)
+
+
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-3), (np.float64, 1e-9)])
+def test_executor_3d_c2c_matches_fftn_oracle(backend, dtype, atol):
+    rng = np.random.default_rng(13)
+    wdtype = np.complex128 if dtype == np.float64 else np.complex64
+    w = _weight(5, 3, wdtype, rng)
+    modes = (4, 2, 8)
+    conv = CompiledSpectralConv(w, modes)
+    x = _x((3, 5, 8, 4, 16), dtype, rng)
+    ref = _c2c_oracle_nd(x.astype(np.float64), w, modes)
+    np.testing.assert_allclose(conv(x), ref, atol=atol)
+    # the spectrum-resident split computes the same convolution
+    staged = conv.inverse_spectrum(
+        conv.step_spectrum(conv.forward_spectrum(x)), x.shape[2:]
+    )
+    np.testing.assert_allclose(staged, ref, atol=atol)
+
+
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-3), (np.float64, 1e-9)])
+def test_executor_3d_symmetric_matches_oracle(backend, dtype, atol):
+    rng = np.random.default_rng(14)
+    w = _weight(4, 6, np.complex128, rng)
+    modes = (4, 2, 4)
+    conv = CompiledSpectralConv(w, modes, symmetric=True)
+    x = _x((2, 4, 8, 4, 16), dtype, rng)
+    y = conv(x)
+    assert y.dtype == dtype
+    ref = _sym_oracle_nd(x.astype(np.float64), w, modes)
+    np.testing.assert_allclose(y, ref, atol=atol)
+    staged = conv.inverse_spectrum(
+        conv.step_spectrum(conv.forward_spectrum(x)), x.shape[2:]
+    )
+    np.testing.assert_allclose(staged, ref, atol=atol)
+
+
+def test_executor_3d_reanalysis_is_the_round_trip(backend):
+    """The N-D Hermitian projection is exactly the skipped inverse/forward
+    pair on an arbitrary (non-Hermitian) output spectrum."""
+    rng = np.random.default_rng(15)
+    w = _weight(3, 3, np.complex128, rng)
+    conv = CompiledSpectralConv(w, (3, 4, 4), symmetric=True)
+    spatial = (8, 4, 16)
+    yk = _x((2, 3, 3, 4, 4), np.complex128, rng)
+    round_trip = conv.forward_spectrum(conv.inverse_spectrum(yk, spatial))
+    np.testing.assert_allclose(
+        round_trip, conv.reanalyze_spectrum(yk, spatial), atol=1e-12
+    )
+    assert not np.allclose(conv.reanalyze_spectrum(yk, spatial), yk)
+
+
+def test_spectrum_methods_check_spatial_arity():
+    rng = np.random.default_rng(16)
+    w = _weight(4, 4, np.complex64, rng)
+    sk = _x((2, 4, 4, 4), np.complex64, rng)
+    conv = CompiledSpectralConv2D(w, 4, 4)
+    for bad in (16, (16,), (16, 16, 16)):
+        with pytest.raises(ValueError, match="one per spatial axis"):
+            conv.inverse_spectrum(sk, bad)
+    sym = CompiledSpectralConv2D(w, 4, 4, symmetric=True)
+    with pytest.raises(ValueError, match="one per spatial axis"):
+        sym.reanalyze_spectrum(sk, 16)
+    with pytest.raises(ValueError, match="spatial shape"):
+        sym.reanalyze_spectrum(sk)
+    # 1-D: a bare int is the same spelling as a 1-tuple
+    sym1 = CompiledSpectralConv1D(w, 4, symmetric=True)
+    sk1 = _x((2, 4, 4), np.complex64, rng)
+    assert _bit_equal(sym1.inverse_spectrum(sk1, 16),
+                      sym1.inverse_spectrum(sk1, (16,)))
+    assert _bit_equal(sym1.reanalyze_spectrum(sk1),
+                      sym1.reanalyze_spectrum(sk1, 16))
+    with pytest.raises(ValueError, match="one per spatial axis"):
+        sym1.inverse_spectrum(sk1, (16, 16))
+
+
+def test_tune_keys_pinned(tmp_path):
+    """Every executor resolves the tune-store keys persisted stores were
+    written under (a changed key would silently orphan tuned winners)."""
+    from repro.core.autotune import Tuner, TuneStore
+    from repro.fft.compiled import PlanCaches
+
+    class Recording(Tuner):
+        def tiles_for(self, key, default, candidates, measure,
+                      is_valid=None, retune=False):
+            keys.append(key.as_string())
+            return default
+
+    tuner = Recording(TuneStore(tmp_path / "tune.json"))
+    auto = dict(plans=PlanCaches(backend="numpy"), tiles="auto", tuner=tuner)
+    w = np.ones((4, 3), np.complex64)
+    x1 = np.ones((5, 4, 64), np.float32)
+    x2 = np.ones((5, 4, 32, 64), np.float32)
+    cases = [
+        (CompiledSpectralConv1D(w, 16, **auto), x1,
+         "fused1d|64|m16|cin4|cout3|ktb8|b32|complex64|numpy"),
+        # the 2-D fused stage tunes its batch * modes_x = 40 pencils
+        (CompiledSpectralConv2D(w, 8, 16, **auto), x2,
+         "fused1d|64|m16|cin4|cout3|ktb8|b64|complex64|numpy"),
+        (CompiledSpectralConv1D(w, 16, symmetric=True, **auto), x1,
+         "sym1d|64|m16|cin4|cout3|ktb8|b32|complex64|numpy"),
+        (CompiledSpectralConv2D(w, 8, 16, symmetric=True, **auto), x2,
+         "sym2d|32x64|m8x16|cin4|cout3|ktb8|b32|complex64|numpy"),
+    ]
+    for conv, x, key in cases:
+        keys = []
+        conv(x)
+        assert keys == [key]
+        keys = []
+        conv.resolve_tiles(5, x.shape[2:])
+        assert keys == [key]
+    # warm_tiles walks the pencil-bucket ladder of the fused 2-D stage
+    keys = []
+    fused2d = cases[1][0]
+    assert fused2d.warm_tiles(5, (32, 64)) == 2
+    assert [k.split("|")[6] for k in keys] == ["b32", "b64"]
+
