@@ -86,7 +86,11 @@ __all__ = [
 #: driver, so ``fused1d`` winners timed with the Python staging loop no
 #: longer rank the ``k_block`` candidates correctly (every entry is
 #: still bit-safe, just stale).
-TUNE_STORE_VERSION = 2
+#: Version 3: the symmetric 1-D pass moved into the C ``sym1d`` driver
+#: and the pruned real plans into one kernel call each, so ``sym1d`` /
+#: ``sym2d`` batch-tile winners timed on the NumPy-glue path are stale
+#: the same way.
+TUNE_STORE_VERSION = 3
 
 #: Cache budget (bytes) the analytic model assumes one tile's working
 #: set should fit in.  CPython gives no portable cache introspection;

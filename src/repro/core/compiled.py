@@ -51,6 +51,7 @@ from repro.core.autotune import (
 )
 from repro.core.dtypes import complex_dtype_for
 from repro.fft.compiled import (
+    WORKSPACE_RETAIN_BYTES,
     PlanCaches,
     PrunedPartMismatchError,
     current_plan_caches,
@@ -491,6 +492,15 @@ class _StagedSymmetric:
     synthesising from exactly the kept modes.  The half spectrum is
     consumed end-to-end, never Hermitian-completed and never
     materialised beyond the kept bins.
+
+    On the C backend, a pass over one spatial axis whose pruned plans
+    both run their ``decomp`` strategy (every ``modes <= X/4``) is one
+    FFI crossing: the ``sym1d`` driver of ``_kernels.c`` runs pruned
+    R2C -> ``panel_gemm`` -> pruned C2R over the batch tiles, bound
+    once to this staging's weight, both plans' tables and its *own*
+    workspaces (never a plan's lock-guarded ones).  Everything else —
+    more axes, a passed ``xk_trunc``, the ``slice``/``pad`` strategies,
+    the NumPy backend — runs the plan chain below, with the same bits.
     """
 
     def __init__(self, weight: np.ndarray, modes: tuple, spatial: tuple,
@@ -516,6 +526,40 @@ class _StagedSymmetric:
         what = f"symmetric {len(modes)}-D"
         _require_part(self.rfft, modes[-1], f"{what} forward")
         _require_part(self.irfft, modes[-1], f"{what} inverse")
+        self._driver = None
+        self._driver_ok = len(modes) == 1  # cleared if a plan can't bind
+
+    def _bound_driver(self, kernels, batch: int):
+        """The C ``sym1d`` driver bound to this staging, or None when the
+        pass does not qualify.  Its tile is ``min(batch, batch_tile)``
+        signals (the whole batch when untiled): the same blocks
+        :meth:`run` walks on the plan path, so every kernel sees the
+        row counts the plan chain would.  Workspaces only grow, and are
+        kept only below the plans' retention bound."""
+        tile = max(1, min(batch, self.batch_tile or batch))
+        driver = self._driver
+        if (driver is not None and driver.kernels is kernels
+                and driver.tile >= tile):
+            return driver
+        fwd = self.rfft.bound_kernel(kernels)
+        inv = self.irfft.bound_kernel(kernels)
+        if fwd is None or inv is None:
+            self._driver_ok = False
+            return None
+        m, half = self.modes[-1], self.rfft.n // 2
+        ws_size = tile * (3 * max(self.c_in, self.c_out) * half
+                          + (self.c_in + self.c_out) * m)
+        ws = np.empty(ws_size, self.dtype)
+        sk_end = tile * self.c_in * m
+        acc_end = sk_end + tile * self.c_out * m
+        driver = kernels.bind_sym1d(
+            weight=self.weight, fwd=fwd, inv=inv, ws=ws[acc_end:],
+            sk=ws[:sk_end], acc=ws[sk_end:acc_end], k_tb=self.k_tb,
+            tile=tile,
+        )
+        if ws.nbytes <= WORKSPACE_RETAIN_BYTES:
+            self._driver = driver  # else: one-shot workspaces
+        return driver
 
     def run(self, x: np.ndarray,
             xk_trunc: np.ndarray | None = None) -> np.ndarray:
@@ -532,6 +576,15 @@ class _StagedSymmetric:
                 f"xk_trunc must have shape {(batch, c_in, *self.modes)}, "
                 f"got {xk_trunc.shape}"
             )
+        kernels = self.plans.kernels()
+        if xk_trunc is None and self._driver_ok and kernels is not None:
+            driver = self._bound_driver(kernels, batch)
+            if driver is not None:
+                out = np.empty((batch, self.c_out, *x.shape[2:]),
+                               self.rfft.real_dtype)
+                driver(np.ascontiguousarray(x, dtype=self.rfft.real_dtype),
+                       out)
+                return out
         tile = self.batch_tile
         if not tile or tile >= batch:
             return self._run_block(x, xk_trunc)

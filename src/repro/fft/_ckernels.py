@@ -8,12 +8,17 @@ all result in :func:`get_kernels` returning ``None`` and the plan layer
 falling back to the pure-NumPy execution path (same bytes, less speed).
 
 Besides the single kernels (Stockham, panel contraction, decomposition
-reduce, broadcast multiply) the library carries two drivers that cut
-the FFI crossings of one executor call to one: ``panel_gemm`` runs every
-k-panel of a spectrum-domain CGEMM, and ``fused1d`` runs the whole fused
-FFT -> CGEMM -> iFFT pass of a staged 1-D executor
-(:meth:`_Kernels.bind_fused1d` binds its static operands once and
-returns a :class:`FusedDriver`).
+reduce, broadcast multiply) the library carries two plan kernels and
+three drivers that cut the FFI crossings of one call to one:
+``pruned_rfft``/``pruned_irfft`` run a pruned real plan's whole
+``decomp`` execute (:meth:`_Kernels.bind_pruned_rfft` /
+``bind_pruned_irfft`` bind the plan's tables and return a
+:class:`PrunedRealKernel`), ``panel_gemm`` runs every k-panel of a
+spectrum-domain CGEMM, ``fused1d`` runs the whole fused FFT -> CGEMM ->
+iFFT pass of a staged 1-D executor (:meth:`_Kernels.bind_fused1d` ->
+:class:`FusedDriver`), and ``sym1d`` runs a staged symmetric 1-D pass,
+pruned R2C -> CGEMM -> pruned C2R (:meth:`_Kernels.bind_sym1d` ->
+:class:`SymDriver`).
 
 Raw-address contract: every pointer crosses as a bare ``c_void_p``
 address, so ctypes checks nothing.  Each binding checks its operands —
@@ -26,12 +31,16 @@ Because the kernels promise *byte-identical* results to the legacy NumPy
 path, the loader validates them at load time on named probes: each
 floating-point recurrence (FMA complex multiply, naive sequential einsum
 contraction, chained scalar scaling) against NumPy, ``panel_gemm``
-against the per-panel ``einsum`` loop, and ``fused1d`` against the
+against the per-panel ``einsum`` loop, ``fused1d`` against the
 frozen :func:`repro.core.legacy.fused_fft_gemm_ifft_1d` on tiny
 geometries covering ``p == 1``, ``p > 1``, a ragged tail panel,
-``signal_tile < batch`` (with real input) and ``k_block > k_tb``, in
-both precisions.  The library is rejected on any mismatch, and
-:func:`build_info` names the first probe that failed.
+``signal_tile < batch`` (with real input) and ``k_block > k_tb``, and
+the pruned real kernels and ``sym1d`` against the same plans and
+staging on a ``PlanCaches(backend="numpy")`` (non-power-of-two
+``part``, ragged ``c_in % k_tb``, ``batch_tile > 0``, a one-element
+tail product, no rows), in both precisions.  The library is rejected
+on any mismatch, and :func:`build_info` names the first probe that
+failed.
 
 Environment knobs
 -----------------
@@ -279,6 +288,129 @@ class FusedDriver:
         self._fn(xa, int(x_complex), batch, oa, self._plan_addr)
 
 
+class _PrunedRFFTTables(ctypes.Structure):
+    """Mirror of ``prfft_tables`` in ``_kernels.c``."""
+
+    _fields_ = (
+        [(f, ctypes.c_long) for f in ("n", "part", "q")]
+        + [(f, ctypes.c_void_p) for f in ("tw", "u", "v")]
+    )
+
+
+class _PrunedIRFFTTables(ctypes.Structure):
+    """Mirror of ``pirfft_tables`` in ``_kernels.c``."""
+
+    _fields_ = (
+        [(f, ctypes.c_long) for f in ("n", "part", "q")]
+        + [(f, ctypes.c_void_p) for f in ("tw", "ch", "ct", "wdh", "wdt")]
+    )
+
+
+class _Sym1DPlan(ctypes.Structure):
+    """Mirror of ``sym1d_plan`` in ``_kernels.c``."""
+
+    _fields_ = (
+        [(f, ctypes.c_long) for f in ("c_in", "c_out", "k_tb", "tile")]
+        + [("w", ctypes.c_void_p), ("fwd", _PrunedRFFTTables),
+           ("inv", _PrunedIRFFTTables)]
+        + [(f, ctypes.c_void_p) for f in ("ws", "sk", "acc")]
+    )
+
+
+def _check_pruned_real(n: int, part: int, q: int) -> int:
+    """Check a pruned real plan's ``decomp`` geometry; return ``h/q``."""
+    h = n // 2
+    if (n < 4 or n & (n - 1) or q < 1 or q & (q - 1) or 2 * q > h
+            or not 1 <= part <= q):
+        raise ValueError(
+            f"no decomp split for n={n}, part={part}, q={q}: need n and "
+            f"q powers of two with part <= q <= n/4"
+        )
+    return h // q
+
+
+class PrunedRealKernel:
+    """One pruned real plan's tables bound to its C kernel.
+
+    Built by :meth:`_Kernels.bind_pruned_rfft` / ``bind_pruned_irfft``,
+    which check every table once; a call checks only the input, the
+    output and the workspace, and crosses the FFI once.  ``inverse``
+    tells the two apart: the forward kernel maps real ``(rows, n)`` to
+    complex ``(rows, part)``, the inverse complex ``(rows, part)`` to
+    real ``(rows, n)``.
+    """
+
+    def __init__(self, kernels: "_Kernels", fn, dtype: np.dtype,
+                 tables, keep: tuple, inverse: bool):
+        self.kernels = kernels
+        self.tables = tables
+        self.inverse = inverse
+        self._fn = fn
+        self._dtype = dtype
+        self._real = _REAL_OF[dtype]
+        self._tables_addr = ctypes.addressof(tables)
+        self._keep = keep
+
+    def workspace_size(self, rows: int) -> int:
+        """Elements of the working dtype one call on ``rows`` needs."""
+        return 3 * rows * (self.tables.n // 2)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray,
+                 ws: np.ndarray) -> None:
+        n, part = self.tables.n, self.tables.part
+        rows = x.shape[0] if x.ndim == 2 else -1
+        x_dtype, x_cols, o_dtype, o_cols = (
+            (self._dtype, part, self._real, n) if self.inverse
+            else (self._real, n, self._dtype, part)
+        )
+        if rows < 0 or x.shape[1] != x_cols:
+            raise ValueError(f"x: expected (rows, {x_cols}), got {x.shape}")
+        self._fn(
+            _operand(x, x_dtype, rows * x_cols, "x"),
+            _operand(out, o_dtype, rows * o_cols, "out"), rows,
+            self._tables_addr,
+            _operand(ws, self._dtype, self.workspace_size(rows), "ws"),
+        )
+
+
+class SymDriver:
+    """One staged symmetric 1-D pass bound to the C ``sym1d`` driver.
+
+    Built by :meth:`_Kernels.bind_sym1d`, which checks every static
+    operand once; a call checks only the input and the output and
+    crosses the FFI exactly once.  Holds references to every bound
+    array, so the addresses in the plan struct stay valid.
+    """
+
+    def __init__(self, kernels: "_Kernels", fn, dtype: np.dtype,
+                 plan: _Sym1DPlan, keep: tuple):
+        self.kernels = kernels
+        self.tile = plan.tile
+        self._fn = fn
+        self._real = _REAL_OF[dtype]
+        self._plan = plan
+        self._plan_addr = ctypes.addressof(plan)
+        self._keep = keep
+        self._c_in = plan.c_in
+        self._c_out = plan.c_out
+        self._n = plan.fwd.n
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
+        """``out[...]`` = the symmetric pass over ``x`` — a C-contiguous
+        real ``(batch, C_in, X)`` array of the working precision;
+        ``out`` is real ``(batch, C_out, X)``."""
+        if x.ndim != 3 or x.shape[1:] != (self._c_in, self._n):
+            raise ValueError(
+                f"x: expected (batch, {self._c_in}, {self._n}), "
+                f"got {x.shape}"
+            )
+        batch = x.shape[0]
+        xa = _operand(x, self._real, batch * self._c_in * self._n, "x")
+        oa = _operand(out, self._real, batch * self._c_out * self._n,
+                      "out")
+        self._fn(xa, batch, oa, self._plan_addr)
+
+
 class _Kernels:
     """ctypes bindings for one loaded kernel library.
 
@@ -305,6 +437,9 @@ class _Kernels:
                 "decomp_reduce": [vp, vp, vp] + [lg] * 3,
                 "expand_mul": [vp, vp, vp] + [lg] * 3,
                 "fused1d": [vp, ctypes.c_int, lg, vp, vp],
+                "pruned_rfft": [vp, vp, lg, vp, vp],
+                "pruned_irfft": [vp, vp, lg, vp, vp],
+                "sym1d": [vp, lg, vp, vp],
             }
             for name, argtypes in signatures.items():
                 fn = getattr(lib, f"{name}_{suffix}")
@@ -396,6 +531,70 @@ class _Kernels:
                 acc, dec)
         return FusedDriver(self, self._fn["fused1d", dt], dt, plan, keep)
 
+    def bind_pruned_rfft(self, *, tw, u, v, n: int, part: int,
+                         q: int) -> PrunedRealKernel:
+        """Check a pruned R2C plan's ``decomp`` tables once and bind them
+        to the C ``pruned_rfft`` kernel (see ``prfft_tables``)."""
+        p = _check_pruned_real(n, part, q)
+        dt = _working_dtype(u, "u")
+        tables = _PrunedRFFTTables(
+            n, part, q, _operand(tw, dt, q - 1, "tw"),
+            _operand(u, dt, p * q, "u"), _operand(v, dt, p * q, "v"),
+        )
+        return PrunedRealKernel(self, self._fn["pruned_rfft", dt], dt,
+                                tables, (tw, u, v), inverse=False)
+
+    def bind_pruned_irfft(self, *, tw, ch, ct, wdh, wdt, n: int, part: int,
+                          q: int) -> PrunedRealKernel:
+        """Check a pruned C2R plan's ``decomp`` tables once and bind them
+        to the C ``pruned_irfft`` kernel (see ``pirfft_tables``)."""
+        s = _check_pruned_real(n, part, q)
+        dt = _working_dtype(ch, "ch")
+        tables = _PrunedIRFFTTables(
+            n, part, q, _operand(tw, dt, q - 1, "tw"),
+            _operand(ch, dt, part, "ch"), _operand(ct, dt, part - 1, "ct"),
+            _operand(wdh, dt, s * q, "wdh"), _operand(wdt, dt, s * q, "wdt"),
+        )
+        return PrunedRealKernel(self, self._fn["pruned_irfft", dt], dt,
+                                tables, (tw, ch, ct, wdh, wdt), inverse=True)
+
+    def bind_sym1d(self, *, weight, fwd: PrunedRealKernel,
+                   inv: PrunedRealKernel, ws, sk, acc, k_tb: int,
+                   tile: int) -> SymDriver:
+        """Check a staged symmetric 1-D pass's static operands once and
+        bind them to the C driver (see ``sym1d_plan`` in ``_kernels.c``).
+        ``fwd``/``inv`` are the two pruned real plans' bound kernels."""
+        dt = _working_dtype(weight, "weight")
+        if weight.ndim != 2:
+            raise ValueError(f"weight: expected (C_in, C_out), got "
+                             f"{weight.shape}")
+        c_in, c_out = weight.shape
+        if fwd.inverse or not inv.inverse:
+            raise ValueError("fwd/inv: expected a pruned R2C and a pruned "
+                             "C2R kernel, in that order")
+        if fwd.kernels is not self or inv.kernels is not self:
+            raise ValueError("fwd/inv: bound to another kernel library")
+        if fwd._dtype != dt or inv._dtype != dt:
+            raise ValueError(f"fwd/inv: expected {dt.name} kernels")
+        n, m = fwd.tables.n, fwd.tables.part
+        if (inv.tables.n, inv.tables.part) != (n, m):
+            raise ValueError(
+                f"fwd/inv: geometry (n={n}, part={m}) != "
+                f"(n={inv.tables.n}, part={inv.tables.part})"
+            )
+        if k_tb < 1 or tile < 1:
+            raise ValueError(f"bad tiling k_tb={k_tb}, tile={tile}")
+        plan = _Sym1DPlan(
+            c_in, c_out, k_tb, tile,
+            _operand(weight, dt, c_in * c_out, "weight"),
+            fwd.tables, inv.tables,
+            _operand(ws, dt, 3 * tile * max(c_in, c_out) * (n // 2), "ws"),
+            _operand(sk, dt, tile * c_in * m, "sk"),
+            _operand(acc, dt, tile * c_out * m, "acc"),
+        )
+        keep = (weight, fwd, inv, ws, sk, acc)
+        return SymDriver(self, self._fn["sym1d", dt], dt, plan, keep)
+
 
 def _bits_equal(ref: np.ndarray, got: np.ndarray) -> bool:
     return ref.dtype == got.dtype and np.array_equal(
@@ -459,6 +658,72 @@ def _fused_probe(k: _Kernels, dtype, rng, batch, c_in, c_out, dim_x,
     return _bits_equal(ref, got)
 
 
+#: The pruned real-plan probes: (label, rows, n, part).  Each pins one
+#: branch: a power-of-two part, a part below its q = next_pow2(part)
+#: (the final slice of acc runs), a one-element tail product (NumPy's
+#: scalar loop), and no rows at all.
+_PRUNED_REAL_PROBES = (
+    ("pow2 part", 3, 32, 4),
+    ("ragged part", 2, 64, 5),
+    ("one-element tail", 1, 32, 2),
+    ("rows 0", 0, 16, 3),
+)
+
+#: The symmetric-driver probes: (label, batch, c_in, c_out, n, modes,
+#: k_tb, batch_tile).  "ragged" has c_in % k_tb != 0 and a
+#: non-power-of-two part; "batch_tile" a tile below the batch with a
+#: ragged last tile.
+_SYM_PROBES = (
+    ("ragged", 2, 5, 3, 64, 5, 2, 0),
+    ("batch_tile", 5, 4, 2, 32, 8, 3, 2),
+    ("one-element tail", 1, 3, 1, 32, 2, 2, 0),
+    ("batch 0", 0, 3, 2, 16, 3, 2, 0),
+)
+
+
+def _pruned_real_probe(k: _Kernels, dtype, rng, inverse, rows, n,
+                       part) -> bool:
+    """One pruned real plan's C kernel against the same plan's NumPy
+    glue on a NumPy-backend plan-cache set."""
+    from repro.fft.compiled import PlanCaches
+
+    dtype = np.dtype(dtype)
+    caches = PlanCaches(backend="numpy")
+    if inverse:
+        plan = caches.pruned_irfft(n, part, dtype)
+        x = (rng.standard_normal((rows, part))
+             + 1j * rng.standard_normal((rows, part))).astype(dtype)
+        got = np.full((rows, n), np.nan, _REAL_OF[dtype])
+    else:
+        plan = caches.pruned_rfft(n, part, dtype)
+        x = rng.standard_normal((rows, n)).astype(_REAL_OF[dtype])
+        got = np.full((rows, part), np.nan, dtype)
+    ref = plan.execute(x)
+    kernel = plan.bound_kernel(k)
+    kernel(x, got, np.empty(kernel.workspace_size(rows), dtype))
+    return _bits_equal(ref, got)
+
+
+def _sym_probe(k: _Kernels, dtype, rng, batch, c_in, c_out, n, modes,
+               k_tb, batch_tile) -> bool:
+    """The C ``sym1d`` driver, bound the way an executor binds it,
+    against the plan chain of the same staging on the NumPy backend."""
+    from repro.core.compiled import _StagedSymmetric
+    from repro.fft.compiled import PlanCaches
+
+    dtype = np.dtype(dtype)
+    w = (rng.standard_normal((c_in, c_out))
+         + 1j * rng.standard_normal((c_in, c_out))).astype(dtype)
+    x = rng.standard_normal((batch, c_in, n)).astype(_REAL_OF[dtype])
+    staged = _StagedSymmetric(w, (modes,), (n,), k_tb, dtype,
+                              plans=PlanCaches(backend="numpy"),
+                              batch_tile=batch_tile)
+    ref = staged.run(x)  # the plan chain
+    got = np.full((batch, c_out, n), np.nan, _REAL_OF[dtype])
+    staged._bound_driver(k, batch)(x, got)
+    return _bits_equal(ref, got)
+
+
 def _probes(k: _Kernels):
     """Yield ``(name, passed)`` for every self-check probe, in order."""
     from repro.fft.legacy import _stockham_last_axis
@@ -510,6 +775,15 @@ def _probes(k: _Kernels):
         for label, *geometry in _FUSED_PROBES:
             yield (f"fused1d {sfx} {label}",
                    _fused_probe(k, dtype, rng, *geometry))
+        for inverse, kind in ((False, "pruned_rfft"),
+                              (True, "pruned_irfft")):
+            for label, *geometry in _PRUNED_REAL_PROBES:
+                yield (f"{kind} {sfx} {label}",
+                       _pruned_real_probe(k, dtype, rng, inverse,
+                                          *geometry))
+        for label, *geometry in _SYM_PROBES:
+            yield (f"sym1d {sfx} {label}",
+                   _sym_probe(k, dtype, rng, *geometry))
 
 
 def _self_check(k: _Kernels) -> str | None:

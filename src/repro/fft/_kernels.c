@@ -13,12 +13,24 @@
  *                                index summed sequentially from zero.
  *   - scalar /= and *=         : independent per-component ops.
  *
- * Two drivers compose those kernels so one executor call crosses the
+ * Two plan kernels run one pruned real plan's whole "decomp" execute
+ * in one call, operation for operation as its NumPy glue in
+ * repro.fft.compiled:
+ *
+ *   - pruned_rfft  : CompiledPrunedRFFTPlan -- P-subsequence gather,
+ *                    length-q Stockham, mirror-conjugate gather, two
+ *                    decomp_reduce sums, acc + acc2 sliced to part.
+ *   - pruned_irfft : CompiledPrunedIRFFTPlan -- head and tail weight
+ *                    multiplies, two expand_mul passes and their sum,
+ *                    inverse Stockham with the chained scalings, the
+ *                    even/odd interleave.
+ *
+ * Three drivers compose those kernels so one executor call crosses the
  * FFI once instead of once per kernel:
  *
  *   - panel_gemm : every k_tb-wide panel contraction of a (batch, C_in,
  *                  m) spectrum, in canonical panel order (the symmetric
- *                  executors and the spectrum-resident rollout step).
+ *                  plan chain and the spectrum-resident rollout step).
  *   - fused1d    : the whole fused FFT -> CGEMM -> iFFT pass of
  *                  repro.core.compiled._StagedFused1D.run_fused -- tile
  *                  loop, grouped gather, Stockham, decomp_reduce, panel
@@ -28,6 +40,11 @@
  *                  so the bits do not change.  Its static operands
  *                  (weights, twiddle tables, executor-owned workspaces)
  *                  travel in one fused1d_plan struct built at staging.
+ *   - sym1d      : the symmetric 1-D pass of
+ *                  repro.core.compiled._StagedSymmetric -- pruned_rfft
+ *                  -> panel_gemm -> pruned_irfft per batch tile, with
+ *                  the cast weight, both plans' tables and executor-
+ *                  owned workspaces in one sym1d_plan struct.
  *
  * Raw-address contract: every pointer argument is a bare address
  * (ctypes c_void_p).  No type, layout or bounds information crosses the
@@ -40,9 +57,10 @@
  * is enabled globally (even under -ffp-contract=off), which would break
  * the einsum replicas.  The kernels that *need* FMA semantics opt in
  * per-function via the target attribute when REPRO_TARGET_FMA is set.
- * repro.fft._ckernels self-checks every kernel and both drivers against
- * NumPy (and fused1d against repro.core.legacy) on named probes at load
- * time and refuses the library if the host toolchain deviates.
+ * repro.fft._ckernels self-checks every kernel and driver against NumPy
+ * (fused1d against repro.core.legacy, the pruned real kernels and sym1d
+ * against the NumPy backend's plan chain) on named probes at load time
+ * and refuses the library if the host toolchain deviates.
  */
 
 #include <math.h>
@@ -370,3 +388,206 @@ FUSED1D(fused1d_f32, float, stockham_f32, decomp_reduce_f32,
         expand_mul_f32, panel_acc_f32)
 FUSED1D(fused1d_f64, double, stockham_f64, decomp_reduce_f64,
         expand_mul_f64, panel_acc_f64)
+
+/* ------------------------------------------------------------------ */
+/* Pruned real plans: truncation fused into the packed-real trick      */
+/* ------------------------------------------------------------------ */
+
+/* Static operands of a CompiledPrunedRFFTPlan on its "decomp" strategy
+ * (dims in elements, tables complex interleaved): h = n/2, q =
+ * next_pow2(part) <= h/2 and p = h/q.
+ *   tw     q - 1    forward stage table of the length-q sub-FFT
+ *   u, v   (p, q)   head and mirror decomposition weights */
+typedef struct {
+    long n, part, q;
+    const void *tw, *u, *v;
+} prfft_tables;
+
+/* Static operands of a CompiledPrunedIRFFTPlan on its "decomp" strategy:
+ * h = n/2, q = next_pow2(part) <= h/2 and s = h/q.
+ *   tw        q - 1      inverse stage table of the length-q sub-FFT
+ *   ch        part       head weights
+ *   ct        part - 1   tail weights
+ *   wdh, wdt  (s, q)     head and tail expansion twiddles */
+typedef struct {
+    long n, part, q;
+    const void *tw, *ch, *ct, *wdh, *wdt;
+} pirfft_tables;
+
+/* out[rows, part] = the first `part` half-spectrum bins of the real
+ * rows x[rows, n] == CompiledPrunedRFFTPlan.execute (decomp), with z the
+ * free (rows, h) complex view of x:
+ *   g[b, pp, t] = z[b, t*p + pp]                 P-subsequence gather
+ *   y = FFT_q(g)                                 rows*p Stockham rows
+ *   acc  = decomp_reduce(y, u)
+ *   acc2 = decomp_reduce(conj(y[b, pp, (q-k) % q]), v)
+ *   out  = (acc + acc2)[:, :part]
+ * ws holds 3*rows*h elements: the gather (then the mirror spectra), the
+ * FFT output, and the Stockham scratch (then acc and acc2; p >= 2). */
+#define PRUNED_RFFT(NAME, T, STOCKHAM_FN, DECOMP_FN)                     \
+void NAME(const T* x, T* out, long rows, const prfft_tables* tb,        \
+          T* ws) {                                                       \
+    const long h = tb->n / 2, q = tb->q, p = h / q, part = tb->part;     \
+    T* g = ws;                                                           \
+    T* y = ws + 2*rows*h;                                                \
+    T* scr = ws + 4*rows*h;                                              \
+    for (long b = 0; b < rows; b++)                                      \
+    for (long pp = 0; pp < p; pp++) {                                    \
+        const T* zb = x + 2*(b*h + pp);                                  \
+        T* gp = g + 2*(b*p + pp)*q;                                      \
+        for (long t = 0; t < q; t++) {                                   \
+            gp[2*t] = zb[2*t*p]; gp[2*t+1] = zb[2*t*p+1];                \
+        }                                                                \
+    }                                                                    \
+    STOCKHAM_FN(g, y, scr, (const T*)tb->tw, rows*p, q, 0, 0, 0, 0);     \
+    for (long r = 0; r < rows*p; r++) {                                  \
+        const T* yr = y + 2*r*q;                                         \
+        T* gr = g + 2*r*q;                                               \
+        for (long k = 0; k < q; k++) {                                   \
+            const long j = (q - k) % q;                                  \
+            gr[2*k] = yr[2*j]; gr[2*k+1] = -yr[2*j+1];                   \
+        }                                                                \
+    }                                                                    \
+    T* acc = scr;                                                        \
+    T* acc2 = scr + 2*rows*q;                                            \
+    DECOMP_FN(y, (const T*)tb->u, acc, rows, p, q);                      \
+    DECOMP_FN(g, (const T*)tb->v, acc2, rows, p, q);                     \
+    for (long b = 0; b < rows; b++)                                      \
+    for (long k = 0; k < 2*part; k++)                                    \
+        out[2*b*part + k] = acc[2*b*q + k] + acc2[2*b*q + k];            \
+}
+
+PRUNED_RFFT(pruned_rfft_f32, float, stockham_f32, decomp_reduce_f32)
+PRUNED_RFFT(pruned_rfft_f64, double, stockham_f64, decomp_reduce_f64)
+
+/* out[0] + i out[1] = (ar + i ai) * (br + i bi) as NumPy's scalar
+ * complex-multiply loop rounds it: plain products, no FMA.  NumPy runs
+ * that loop instead of its SIMD one when a multiply has exactly one
+ * element (the one-element fast path passes zero strides).  Out of line
+ * so no FMA-target caller can contract it. */
+#define CMUL_PLAIN(NAME, T)                                              \
+__attribute__((noinline)) static void NAME(T ar, T ai, T br, T bi,       \
+                                           T* out) {                     \
+    out[0] = ar*br - ai*bi;                                              \
+    out[1] = ar*bi + ai*br;                                              \
+}
+
+CMUL_PLAIN(cmul_plain_f32, float)
+CMUL_PLAIN(cmul_plain_f64, double)
+
+/* out[rows, n] (real) = the signal of the truncated half spectra
+ * x[rows, part] == CompiledPrunedIRFFTPlan.execute (decomp), with z the
+ * free (rows, h) complex view of out:
+ *   hb[b, t]   = ch[t] * x[b, t] for t < part, Im(DC) dropped; else 0
+ *   tb[b, q-r] = conj(x[b, r]) * ct[r-1] for 0 < r < part;     else 0
+ *   sc = hb[:, None, :] * wdh + tb[:, None, :] * wdt    (s rows of q)
+ *   y  = IFFT_q(sc) / q * (q/h)
+ *   z[b, ss + s*t] = y[b, ss, t]                        interleave
+ * Every complex multiply has the ufunc operand order (x first) and the
+ * FMA formula of the header, except a one-element tail product
+ * (rows * (part - 1) == 1), which NumPy rounds in its scalar loop
+ * (CMUL_PLAIN).  The DC product casts its real operand, which takes
+ * NumPy's buffered SIMD path at every size.  ws holds 3*rows*h elements: the
+ * two expansion buffers (the second then the Stockham scratch) and the
+ * Stockham output (hb and tb before it; s >= 2). */
+#define PRUNED_IRFFT(NAME, T, FMAF, CMUL_PLAIN_FN, STOCKHAM_FN,        \
+                     EXPAND_FN)                                          \
+FMA_TARGET void NAME(const T* x, T* out, long rows,                      \
+                     const pirfft_tables* tb, T* ws) {                   \
+    const long h = tb->n / 2, q = tb->q, s = h / q, part = tb->part;     \
+    const T* ch = (const T*)tb->ch;                                      \
+    const T* ct = (const T*)tb->ct;                                      \
+    const T zero = 0;                                                    \
+    T* sc = ws;                                                          \
+    T* sc2 = ws + 2*rows*h;                                              \
+    T* y = ws + 4*rows*h;                                                \
+    T* hb = y;                                                           \
+    T* tl = y + 2*rows*q;                                                \
+    for (long b = 0; b < rows; b++) {                                    \
+        const T* xb = x + 2*b*part;                                      \
+        T* hp = hb + 2*b*q;                                              \
+        T* tp = tl + 2*b*q;                                              \
+        hp[0] = FMAF(xb[0], ch[0], -(zero*ch[1]));                       \
+        hp[1] = FMAF(xb[0], ch[1], zero*ch[0]);                          \
+        for (long t = 1; t < part; t++) {                                \
+            const T xr = xb[2*t], xi = xb[2*t+1];                        \
+            hp[2*t]   = FMAF(xr, ch[2*t], -(xi*ch[2*t+1]));              \
+            hp[2*t+1] = FMAF(xr, ch[2*t+1], xi*ch[2*t]);                 \
+        }                                                                \
+        for (long k = 2*part; k < 2*q; k++) hp[k] = 0;                   \
+        for (long k = 0; k < 2*q; k++) tp[k] = 0;                        \
+        for (long r = 1; r < part; r++) {                                \
+            const T xr = xb[2*r], xi = -xb[2*r+1];                       \
+            const T cr = ct[2*(r-1)], ci = ct[2*(r-1)+1];                \
+            if (rows * (part - 1) == 1) {                                \
+                CMUL_PLAIN_FN(xr, xi, cr, ci, tp + 2*(q-r));             \
+            } else {                                                     \
+                tp[2*(q-r)]   = FMAF(xr, cr, -(xi*ci));                  \
+                tp[2*(q-r)+1] = FMAF(xr, ci, xi*cr);                     \
+            }                                                            \
+        }                                                                \
+    }                                                                    \
+    EXPAND_FN(hb, (const T*)tb->wdh, sc, rows, s, q);                    \
+    EXPAND_FN(tl, (const T*)tb->wdt, sc2, rows, s, q);                   \
+    for (long i = 0; i < 2*rows*h; i++) sc[i] += sc2[i];                 \
+    STOCKHAM_FN(sc, y, sc2, (const T*)tb->tw, rows*s, q,                 \
+                1, (T)q, 1, (T)((double)q/(double)h));                   \
+    for (long b = 0; b < rows; b++)                                      \
+    for (long ss = 0; ss < s; ss++) {                                    \
+        const T* yp = y + 2*(b*s + ss)*q;                                \
+        T* zp = out + 2*(b*h + ss);                                      \
+        for (long t = 0; t < q; t++) {                                   \
+            zp[2*t*s] = yp[2*t]; zp[2*t*s+1] = yp[2*t+1];                \
+        }                                                                \
+    }                                                                    \
+}
+
+PRUNED_IRFFT(pruned_irfft_f32, float, fmaf, cmul_plain_f32, stockham_f32,
+             expand_mul_f32)
+PRUNED_IRFFT(pruned_irfft_f64, double, fma, cmul_plain_f64, stockham_f64,
+             expand_mul_f64)
+
+/* ------------------------------------------------------------------ */
+/* Symmetric 1-D driver: pruned R2C -> CGEMM -> pruned C2R, one call    */
+/* ------------------------------------------------------------------ */
+
+/* Static operands of one staged symmetric 1-D pass, built once per
+ * staging by the Python binding, which checked every size:
+ *   w        (c_in, c_out)                   the cast weight
+ *   fwd/inv  both pruned real plans' tables  (same n and part)
+ *   ws       3 * tile * max(c_in, c_out) * n/2
+ *   sk       (tile, c_in, part)              truncated input spectra
+ *   acc      (tile, c_out, part)             the CGEMM output
+ * The workspaces belong to the executor, never to a shared plan, so no
+ * plan lock is needed around the call. */
+typedef struct {
+    long c_in, c_out, k_tb, tile;
+    const void* w;
+    prfft_tables fwd;
+    pirfft_tables inv;
+    void *ws, *sk, *acc;
+} sym1d_plan;
+
+/* out[batch, c_out, n] (real) = the symmetric pass over the real
+ * x[batch, c_in, n] == repro.core.compiled._StagedSymmetric on one
+ * spatial axis: pruned R2C of every row, the k-panel CGEMM, pruned C2R
+ * of every output row.  Every stage is row-independent along the
+ * batch, so the tile of `tile` signals moves operands only. */
+#define SYM1D(NAME, T, RFFT_FN, GEMM_FN, IRFFT_FN)                       \
+void NAME(const T* x, long batch, T* out, const sym1d_plan* pl) {        \
+    const long c_in = pl->c_in, c_out = pl->c_out;                       \
+    const long n = pl->fwd.n, m = pl->fwd.part;                          \
+    T* sk = (T*)pl->sk;                                                  \
+    T* acc = (T*)pl->acc;                                                \
+    for (long b0 = 0; b0 < batch; b0 += pl->tile) {                      \
+        const long bt = batch - b0 < pl->tile ? batch - b0 : pl->tile;   \
+        RFFT_FN(x + b0*c_in*n, sk, bt*c_in, &pl->fwd, (T*)pl->ws);       \
+        GEMM_FN(sk, (const T*)pl->w, acc, bt, c_in, m, c_out, pl->k_tb); \
+        IRFFT_FN(acc, out + b0*c_out*n, bt*c_out, &pl->inv,              \
+                 (T*)pl->ws);                                            \
+    }                                                                    \
+}
+
+SYM1D(sym1d_f32, float, pruned_rfft_f32, panel_gemm_f32, pruned_irfft_f32)
+SYM1D(sym1d_f64, double, pruned_rfft_f64, panel_gemm_f64,
+      pruned_irfft_f64)

@@ -700,6 +700,14 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
     executor backends and repeat executions; versus the full transform
     the decomposition reassociates, so equality with ``rfft`` + slice
     is to working precision (like every pruned family).
+
+    What runs in C: on the C backend the ``decomp`` strategy is one
+    ``pruned_rfft`` kernel call (gather, Stockham, mirror gather, both
+    reductions, the sum and slice), under the plan's lock in the plan's
+    workspaces; :meth:`bound_kernel` is the binding, which the
+    symmetric ``sym1d`` driver composes too.  On the NumPy backend the
+    same operations run as NumPy glue around the sub-FFT plan.  Rows
+    that are not C-contiguous are copied first.
     """
 
     def __init__(self, n: int, part: int, dtype: np.dtype,
@@ -735,6 +743,7 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
             self._u = Table((wd * (0.5 + wm)).astype(self.dtype))
             self._v = Table((wd * (0.5 - wm)).astype(self.dtype))
             self._ridx = (q - k) % q  # Y[(q-k) mod q] gather
+        self._bound = None
         self._init_workspaces()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -748,10 +757,25 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
             return self._caches.kernels()
         return _scoped_kernels()
 
+    def bound_kernel(self, kernels):
+        """The C ``pruned_rfft`` kernel bound to this plan's tables
+        (rebound only if the kernel library changes), or None when the
+        plan does not run the ``decomp`` strategy."""
+        if self._strategy != "decomp":
+            return None
+        bound = self._bound
+        if bound is None or bound.kernels is not kernels:
+            bound = kernels.bind_pruned_rfft(
+                tw=self._sub.stage_table, u=self._u, v=self._v,
+                n=self.n, part=self.part, q=self._q,
+            )
+            self._bound = bound
+        return bound
+
     def execute(self, flat: np.ndarray) -> np.ndarray:
-        """First ``part`` half-spectrum bins of every row of a
-        contiguous real ``(rows, n)`` array; returns a new
-        ``(rows, part)`` complex array."""
+        """First ``part`` half-spectrum bins of every row of a real
+        ``(rows, n)`` array; returns a new ``(rows, part)`` complex
+        array."""
         rows, n = flat.shape
         if n != self.n:
             raise ValueError(f"expected rows of length {self.n}, got {n}")
@@ -760,32 +784,43 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
         if self._strategy == "slice":
             full = self._full.execute(flat)
             return np.ascontiguousarray(full[:, : self.part])
-        if flat.dtype != self.real_dtype or not flat.flags.c_contiguous:
+        if flat.dtype != self.real_dtype:
             raise ValueError(
-                f"expected contiguous {self.real_dtype.name} rows, "
-                f"got {flat.dtype.name}"
+                f"expected {self.real_dtype.name} rows, got {flat.dtype.name}"
             )
-        h, q, p, m = self.half, self._q, self._split, self.part
+        flat = np.ascontiguousarray(flat)
+        kernels = self._kernels()
         with self._lock:
-            z = flat.view(self.dtype)  # free (rows, h) packing
-            # Gather the P subsequences: g[b, p, t] = z[b, t*P + p].
-            g = self._ws("gather", rows * h)[: rows * h]
-            gv = g.reshape(rows, p, q)
-            gv[...] = np.swapaxes(z.reshape(rows, q, p), -1, -2)
-            y = self._ws("fft", rows * h)[: rows * h].reshape(rows * p, q)
-            self._sub.execute(g.reshape(rows * p, q), out=y)
-            yv = y.reshape(rows, p, q)
-            # Mirror spectra: yr[b, p, k] = conj(Y[b, p, (q-k) mod q]).
-            yr = self._ws("rev", rows * h)[: rows * h].reshape(rows, p, q)
-            np.take(yv, self._ridx, axis=2, out=yr)
-            np.conjugate(yr, out=yr)
-            acc = np.empty((rows, q), self.dtype)
-            decomp_reduce(yv, self._u, acc, kernels=self._kernels())
-            acc2 = self._ws("acc", rows * q)[: rows * q].reshape(rows, q)
-            decomp_reduce(yr, self._v, acc2, kernels=self._kernels())
-            acc += acc2
-            out = np.ascontiguousarray(acc[:, :m]) if m < q else acc
+            if kernels is None:
+                return self._execute_numpy(flat)
+            kernel = self.bound_kernel(kernels)
+            out = np.empty((rows, self.part), self.dtype)
+            kernel(flat, out, self._ws("ckernel", kernel.workspace_size(rows)))
         return out
+
+    def _execute_numpy(self, flat: np.ndarray) -> np.ndarray:
+        """The decomposition as NumPy glue around the sub-FFT plan (the
+        NumPy backend's path; the C kernel runs the same operations)."""
+        rows = flat.shape[0]
+        h, q, p, m = self.half, self._q, self._split, self.part
+        z = flat.view(self.dtype)  # free (rows, h) packing
+        # Gather the P subsequences: g[b, p, t] = z[b, t*P + p].
+        g = self._ws("gather", rows * h)[: rows * h]
+        gv = g.reshape(rows, p, q)
+        gv[...] = np.swapaxes(z.reshape(rows, q, p), -1, -2)
+        y = self._ws("fft", rows * h)[: rows * h].reshape(rows * p, q)
+        self._sub.execute(g.reshape(rows * p, q), out=y)
+        yv = y.reshape(rows, p, q)
+        # Mirror spectra: yr[b, p, k] = conj(Y[b, p, (q-k) mod q]).
+        yr = self._ws("rev", rows * h)[: rows * h].reshape(rows, p, q)
+        np.take(yv, self._ridx, axis=2, out=yr)
+        np.conjugate(yr, out=yr)
+        acc = np.empty((rows, q), self.dtype)
+        decomp_reduce(yv, self._u, acc, kernels=None)
+        acc2 = self._ws("acc", rows * q)[: rows * q].reshape(rows, q)
+        decomp_reduce(yr, self._v, acc2, kernels=None)
+        acc += acc2
+        return np.ascontiguousarray(acc[:, :m]) if m < q else acc
 
 
 class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
@@ -809,6 +844,14 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
     the forward plan (``part == n//2 + 1`` aliases
     :class:`CompiledIRFFTPlan` bit-exactly; large ``part`` falls back
     to zero-pad + full C2R, bit-exact versus that composition).
+
+    What runs in C: on the C backend the ``decomp`` strategy is one
+    ``pruned_irfft`` kernel call (head/tail multiplies, both expansions
+    and their sum, the scaled inverse Stockham, the interleave), under
+    the plan's lock in the plan's workspaces.  Its complex multiplies
+    replay NumPy's loops, FMA formula included, and NumPy's plain
+    scalar loop for a one-element tail product.  On the NumPy backend
+    the same operations run as NumPy glue around the sub-FFT plan.
     """
 
     def __init__(self, n: int, part: int, dtype: np.dtype,
@@ -844,16 +887,15 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
             r = np.arange(1, part)
             wjt = 0.5j * np.exp(+2j * np.pi * (h - r) / n)
             ct = (0.5 - wjt).astype(self.dtype)  # tail: Z[h-r] = ct conj(X[r])
-            ch.setflags(write=False)
-            ct.setflags(write=False)
-            self._ch = ch
-            self._ct = ct
+            self._ch = Table(ch)
+            self._ct = Table(ct)
             self._tidx = q - r  # tail alias t = (h - r) mod q = q - r
             ss, t = np.ogrid[0:s, 0:q]
             wdh = np.exp(+2j * np.pi * ss * t / h)
             wdt = np.exp(+2j * np.pi * ss * (t - q) / h)
             self._wdh = Table(wdh.astype(self.dtype))
             self._wdt = Table(wdt.astype(self.dtype))
+        self._bound = None
         self._init_workspaces()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -885,6 +927,22 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
         pad[:, : self.part] = flat
         return self._full.execute(pad)
 
+    def bound_kernel(self, kernels):
+        """The C ``pruned_irfft`` kernel bound to this plan's tables
+        (rebound only if the kernel library changes), or None when the
+        plan does not run the ``decomp`` strategy."""
+        if self._strategy != "decomp":
+            return None
+        bound = self._bound
+        if bound is None or bound.kernels is not kernels:
+            bound = kernels.bind_pruned_irfft(
+                tw=self._sub.stage_table, ch=self._ch, ct=self._ct,
+                wdh=self._wdh, wdt=self._wdt, n=self.n, part=self.part,
+                q=self._q,
+            )
+            self._bound = bound
+        return bound
+
     def execute(self, flat: np.ndarray) -> np.ndarray:
         """Real signal of every row of a ``(rows, part)`` truncated
         half spectrum (bins ``part..n//2`` implicitly zero); returns a
@@ -894,38 +952,51 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
             return self._full.execute(flat)
         if self._strategy == "pad":
             return self._padded_full(flat)
+        kernels = self._kernels()
+        with self._lock:
+            if kernels is None:
+                return self._execute_numpy(flat)
+            kernel = self.bound_kernel(kernels)
+            rows = flat.shape[0]
+            out = np.empty((rows, self.n), self.real_dtype)
+            kernel(np.ascontiguousarray(flat), out,
+                   self._ws("ckernel", kernel.workspace_size(rows)))
+        return out
+
+    def _execute_numpy(self, flat: np.ndarray) -> np.ndarray:
+        """The decomposition as NumPy glue around the sub-FFT plan (the
+        NumPy backend's path; the C kernel runs the same operations)."""
         rows = flat.shape[0]
         h, q, s, m = self.half, self._q, self._split, self.part
-        with self._lock:
-            # Head block: hb[b, t] = ch[t] X[b, t] for t < part (Im(DC)
-            # dropped), zero-padded to the q sub-transform bins.
-            hb = self._ws("head", rows * q)[: rows * q].reshape(rows, q)
-            hb[:, m:] = 0
-            np.multiply(flat, self._ch, out=hb[:, :m])
-            hb[:, 0] = flat[:, 0].real * self._ch[0]
-            # Tail block: tb[b, q-r] = ct[r] conj(X[b, r]), r in [1, part).
-            tb = self._ws("tail", rows * q)[: rows * q].reshape(rows, q)
-            tb[...] = 0
-            if m > 1:
-                tb[:, self._tidx] = np.conj(flat[:, 1:m]) * self._ct
-            # Scatter both blocks into the S weighted sub-rows.
-            sc = self._ws("scaled", rows * h)[: rows * h]
-            scv = sc.reshape(rows, s, q)
-            sc2 = self._ws("scaled2", rows * h)[: rows * h].reshape(rows, s, q)
-            expand_mul(hb, self._wdh, scv, kernels=self._kernels())
-            expand_mul(tb, self._wdt, sc2, kernels=self._kernels())
-            scv += sc2
-            y = self._ws("fft", rows * h)[: rows * h].reshape(rows * s, q)
-            self._sub.execute(
-                sc.reshape(rows * s, q), out=y,
-                div_by=float(q), mul_by=float(q / h),
-            )
-            out = np.empty((rows, self.n), self.real_dtype)
-            z = out.view(self.dtype)  # packed (rows, h): even=Re, odd=Im
-            # Interleave: z[b, ss + S*t] = y[b, ss, t].
-            z.reshape(rows, q, s)[...] = np.swapaxes(
-                y.reshape(rows, s, q), -1, -2
-            )
+        # Head block: hb[b, t] = ch[t] X[b, t] for t < part (Im(DC)
+        # dropped), zero-padded to the q sub-transform bins.
+        hb = self._ws("head", rows * q)[: rows * q].reshape(rows, q)
+        hb[:, m:] = 0
+        np.multiply(flat, self._ch, out=hb[:, :m])
+        hb[:, 0] = flat[:, 0].real * self._ch[0]
+        # Tail block: tb[b, q-r] = ct[r] conj(X[b, r]), r in [1, part).
+        tb = self._ws("tail", rows * q)[: rows * q].reshape(rows, q)
+        tb[...] = 0
+        if m > 1:
+            tb[:, self._tidx] = np.conj(flat[:, 1:m]) * self._ct
+        # Scatter both blocks into the S weighted sub-rows.
+        sc = self._ws("scaled", rows * h)[: rows * h]
+        scv = sc.reshape(rows, s, q)
+        sc2 = self._ws("scaled2", rows * h)[: rows * h].reshape(rows, s, q)
+        expand_mul(hb, self._wdh, scv, kernels=None)
+        expand_mul(tb, self._wdt, sc2, kernels=None)
+        scv += sc2
+        y = self._ws("fft", rows * h)[: rows * h].reshape(rows * s, q)
+        self._sub.execute(
+            sc.reshape(rows * s, q), out=y,
+            div_by=float(q), mul_by=float(q / h),
+        )
+        out = np.empty((rows, self.n), self.real_dtype)
+        z = out.view(self.dtype)  # packed (rows, h): even=Re, odd=Im
+        # Interleave: z[b, ss + S*t] = y[b, ss, t].
+        z.reshape(rows, q, s)[...] = np.swapaxes(
+            y.reshape(rows, s, q), -1, -2
+        )
         return out
 
 
