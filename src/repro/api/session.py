@@ -829,7 +829,8 @@ class Session:
         skipped outright.  Valid where the inter-step path is linear: a
         :class:`SpectralModel` / compiled executor (either filter
         convention; the spectrum of each step's output *is* the stepped
-        spectrum) or a symmetric ``SpectralConv1d/2d`` layer.
+        spectrum) or a symmetric :class:`repro.nn.SpectralConv` layer
+        (any rank).
         Non-symmetric nn layers project onto the real part between
         steps and arbitrary callables are opaque — both must use
         ``"exact"``.  Fast results match exact to rounding error, not
@@ -991,15 +992,15 @@ class Session:
                     f"({c_in}, {c_out})"
                 )
             return executor, None
-        from repro.nn.modules import SpectralConv1d, SpectralConv2d
+        from repro.nn.modules import SpectralConv
 
-        if isinstance(model, (SpectralConv1d, SpectralConv2d)):
+        if isinstance(model, SpectralConv):
             if not model.symmetric:
                 # The non-symmetric layer takes Re(ifft(...)) between
                 # steps — a genuine projection the spectrum-resident
                 # loop cannot reproduce (fft(Re(ifft(pad(yk)))) != pad(yk)).
                 raise ValueError(
-                    "profile='fast' supports symmetric spectral layers "
+                    "profile='fast' supports symmetric SpectralConv layers "
                     "only: the non-symmetric convention projects onto "
                     "the real part between steps; use profile='exact'"
                 )
@@ -1012,8 +1013,8 @@ class Session:
         raise ValueError(
             "profile='fast' requires a spectrum-capable model (a "
             "SpectralModel / (weight, modes[, symmetric]) tuple, a "
-            "compiled executor, or a symmetric SpectralConv1d/2d "
-            "layer); arbitrary callables must use profile='exact'"
+            "compiled executor, or a symmetric SpectralConv layer); "
+            "arbitrary callables must use profile='exact'"
         )
 
     def _rollout_fast(self, model, state: np.ndarray, steps: int,

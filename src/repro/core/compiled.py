@@ -434,6 +434,34 @@ def project_hermitian(sk: np.ndarray, lead: tuple = ()) -> np.ndarray:
     return sk
 
 
+def _spatial_dims(spatial, ndim: int) -> tuple:
+    """``spatial`` as one int per spatial axis (a bare int is the 1-D
+    spelling)."""
+    try:
+        dims = tuple(int(n) for n in spatial)
+    except TypeError:
+        dims = (int(spatial),)
+    if len(dims) != ndim:
+        raise ValueError(
+            f"spatial must have {ndim} entries (one per spatial axis), "
+            f"got {spatial!r}"
+        )
+    return dims
+
+
+def _reanalyze_symmetric(sk: np.ndarray, spatial, ndim: int) -> np.ndarray:
+    """:func:`project_hermitian` of an ``ndim``-axis symmetric spectrum
+    corner, its leading axes' lengths taken from the output's
+    ``spatial`` shape (``None`` is accepted for 1-D, which has no
+    leading axes)."""
+    lead = () if spatial is None else _spatial_dims(spatial, ndim)[:-1]
+    if len(lead) != ndim - 1:
+        raise ValueError(
+            f"symmetric reanalysis needs the spatial shape ({ndim} entries)"
+        )
+    return project_hermitian(sk, lead)
+
+
 def _symmetric_forward(x: np.ndarray, rfft, modes: tuple,
                        plans: PlanCaches) -> np.ndarray:
     """Truncated half spectrum of real ``x``: the pruned R2C along the
@@ -823,20 +851,6 @@ class CompiledSpectralConv:
             self._spec_weights[dtype] = wc
         return wc
 
-    def _spatial(self, spatial) -> tuple:
-        """``spatial`` as one int per spatial axis (a bare int is the
-        1-D spelling)."""
-        try:
-            dims = tuple(int(n) for n in spatial)
-        except TypeError:
-            dims = (int(spatial),)
-        if len(dims) != self.ndim:
-            raise ValueError(
-                f"spatial must have {self.ndim} entries (one per spatial "
-                f"axis), got {spatial!r}"
-            )
-        return dims
-
     # -- spectrum-in / spectrum-out entry points (rollout serving) ------
 
     def forward_spectrum(self, x: np.ndarray) -> np.ndarray:
@@ -892,7 +906,7 @@ class CompiledSpectralConv:
         (real output).  ``spatial`` is the output's spatial shape, one
         entry per axis (a bare int for 1-D)."""
         sk = np.asarray(sk)
-        spatial = self._spatial(spatial)
+        spatial = _spatial_dims(spatial, self.ndim)
         dtype = complex_dtype_for(sk.dtype)
         plans = self._plan_caches()
         if self.symmetric:
@@ -916,13 +930,7 @@ class CompiledSpectralConv:
         executor may omit it)."""
         if not self.symmetric:
             return sk
-        lead = () if spatial is None else self._spatial(spatial)[:-1]
-        if len(lead) != self.ndim - 1:
-            raise ValueError(
-                f"symmetric reanalysis needs the spatial shape "
-                f"({self.ndim} entries)"
-            )
-        return project_hermitian(sk, lead)
+        return _reanalyze_symmetric(sk, spatial, self.ndim)
 
     # -- tiles ----------------------------------------------------------
 
@@ -966,8 +974,8 @@ class CompiledSpectralConv:
         calls so serving never pays the tune inline.  ``retune`` forces
         a fresh timed search, overwriting memo and store."""
         return self._tiles_for(
-            complex_dtype_for(dtype), self._spatial(spatial), batch,
-            retune=retune,
+            complex_dtype_for(dtype), _spatial_dims(spatial, self.ndim),
+            batch, retune=retune,
         )
 
     def warm_tiles(self, batch: int, spatial, dtype=np.float32) -> int:
@@ -980,7 +988,7 @@ class CompiledSpectralConv:
         resolutions; 0 unless ``tiles="auto"``."""
         if self.tiles != "auto":
             return 0
-        spatial = self._spatial(spatial)
+        spatial = _spatial_dims(spatial, self.ndim)
         cdt = complex_dtype_for(dtype)
         buckets = bucket_ladder(batch * self._tune_fold)
         for bucket in buckets:

@@ -11,10 +11,12 @@ environment — and every backward pass is finite-difference checked in the
 test suite.
 
 * :mod:`repro.nn.modules` — Dense (pointwise channel mixing), GELU, and
-  SpectralConv1d/2d.  The spectral layers support both the original FNO's
-  per-mode weights and the paper's shared-weight CGEMM formulation, and
-  both frequency conventions (the paper's first-``modes`` bins, or the
-  original FNO's symmetric ``±modes``).
+  SpectralConv, one spectral layer for any number of spatial axes keyed
+  on its ``modes`` tuple (SpectralConv1d/2d are its 1-D/2-D
+  constructors).  It supports both the original FNO's per-mode weights
+  and the paper's shared-weight CGEMM formulation, and both frequency
+  conventions (the paper's first-``modes`` bins, or the original FNO's
+  symmetric ``±modes``).
 * :mod:`repro.nn.fno` — FNO1d / FNO2d models (lift, Fourier blocks with
   pointwise residual paths, projection head).
 * :mod:`repro.nn.optim` — Adam and SGD with complex-parameter support.
@@ -24,7 +26,14 @@ test suite.
 
 from repro.nn.fno import FNO1d, FNO2d
 from repro.nn.losses import mse_loss, relative_l2_loss
-from repro.nn.modules import GELU, Dense, Module, SpectralConv1d, SpectralConv2d
+from repro.nn.modules import (
+    GELU,
+    Dense,
+    Module,
+    SpectralConv,
+    SpectralConv1d,
+    SpectralConv2d,
+)
 from repro.nn.optim import SGD, Adam
 from repro.nn.schedulers import CosineLR, StepLR, clip_grad_norm
 from repro.nn.trainer import TrainingHistory, train
@@ -33,6 +42,7 @@ __all__ = [
     "Module",
     "Dense",
     "GELU",
+    "SpectralConv",
     "SpectralConv1d",
     "SpectralConv2d",
     "FNO1d",

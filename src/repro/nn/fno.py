@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.nn.modules import GELU, Dense, Module, SpectralConv1d, SpectralConv2d
 
-__all__ = ["FourierBlock1d", "FourierBlock2d", "FNO1d", "FNO2d"]
+__all__ = ["FNO1d", "FNO2d"]
 
 
 class _FourierBlock(Module):
@@ -31,27 +31,6 @@ class _FourierBlock(Module):
         if self.act is not None:
             grad = self.act.backward(grad)
         return self.spectral.backward(grad) + self.pointwise.backward(grad)
-
-
-class FourierBlock1d(_FourierBlock):
-    def __init__(self, width: int, modes: int, rng: np.random.Generator,
-                 per_mode: bool = True, activate: bool = True) -> None:
-        super().__init__(
-            SpectralConv1d(width, width, modes, rng, per_mode=per_mode),
-            Dense(width, width, rng, name="block.pointwise"),
-            activate,
-        )
-
-
-class FourierBlock2d(_FourierBlock):
-    def __init__(self, width: int, modes_x: int, modes_y: int,
-                 rng: np.random.Generator, per_mode: bool = True,
-                 activate: bool = True) -> None:
-        super().__init__(
-            SpectralConv2d(width, width, modes_x, modes_y, rng, per_mode=per_mode),
-            Dense(width, width, rng, name="block.pointwise"),
-            activate,
-        )
 
 
 class _FNOBase(Module):
@@ -87,7 +66,7 @@ class _FNOBase(Module):
 
     def spectral_layers(self):
         """The spectral convolution of each Fourier block, in order —
-        the split step (:meth:`SpectralConv1d.spectrum` /
+        the split step (:meth:`SpectralConv.spectrum` /
         ``apply_modes`` / ``from_spectrum``) a spectrum-resident loop
         hands state across."""
         for block in self.blocks:
@@ -134,9 +113,14 @@ class FNO1d(_FNOBase):
         if depth <= 0:
             raise ValueError("depth must be positive")
         rng = np.random.default_rng(seed)
+        # Each block draws its spectral weight before its pointwise one:
+        # the draw order a seed reproduces.
         blocks: list[Module] = [
-            FourierBlock1d(width, modes, rng, per_mode=per_mode,
-                           activate=(i < depth - 1))
+            _FourierBlock(
+                SpectralConv1d(width, width, modes, rng, per_mode=per_mode),
+                Dense(width, width, rng, name="block.pointwise"),
+                activate=(i < depth - 1),
+            )
             for i in range(depth)
         ]
         super().__init__(
@@ -168,8 +152,12 @@ class FNO2d(_FNOBase):
             raise ValueError("depth must be positive")
         rng = np.random.default_rng(seed)
         blocks: list[Module] = [
-            FourierBlock2d(width, modes_x, modes_y, rng, per_mode=per_mode,
-                           activate=(i < depth - 1))
+            _FourierBlock(
+                SpectralConv2d(width, width, modes_x, modes_y, rng,
+                               per_mode=per_mode),
+                Dense(width, width, rng, name="block.pointwise"),
+                activate=(i < depth - 1),
+            )
             for i in range(depth)
         ]
         super().__init__(

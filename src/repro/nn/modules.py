@@ -1,11 +1,12 @@
-"""Differentiable modules: Dense, GELU, SpectralConv1d/2d.
+"""Differentiable modules: Dense, GELU, and the N-D SpectralConv layer
+(with its SpectralConv1d/2d constructors).
 
 Gradients follow the PyTorch convention for complex parameters: the stored
 gradient of a complex tensor ``z`` is ``dL/dRe(z) + i * dL/dIm(z)``, so
 for a C-linear map ``y = A x`` the input cotangent is ``A^H g_y`` and the
 weight cotangent is ``conj(x) g_y``.  The adjoint of "truncate-to-modes
 after FFT" is "zero-pad then (unnormalised) inverse FFT", which is why the
-backward passes below reuse the *pruned* transforms of
+backward pass below reuses the *pruned* transforms of
 :mod:`repro.fft.pruned` — TurboFNO's built-in truncation/padding
 accelerates training's backward pass for free.
 
@@ -21,59 +22,27 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.compiled import (
-    CompiledSpectralConv1D,
-    CompiledSpectralConv2D,
-    project_hermitian,
+    CompiledSpectralConv,
+    _axis_letter,
+    _check_half_spectrum,
+    _check_modes,
+    _reanalyze_symmetric,
+    _spatial_dims,
 )
-from repro.core.fused import fused_fft_gemm_ifft_1d, fused_fft_gemm_ifft_2d
 from repro.fft.pruned import padded_ifft_auto as _pad_ifft
 from repro.fft.pruned import truncated_fft_auto as _trunc_fft
-from repro.fft.real import irfft, padded_irfft, rfft, truncated_rfft
+from repro.fft.real import padded_irfft, truncated_rfft
 from repro.fft.stockham import is_power_of_two
 
-__all__ = ["Parameter", "Module", "Dense", "GELU", "SpectralConv1d", "SpectralConv2d"]
+__all__ = [
+    "Parameter", "Module", "Dense", "GELU",
+    "SpectralConv", "SpectralConv1d", "SpectralConv2d",
+]
 
-
-def _prunable(n: int, modes: int) -> bool:
-    """True when the pruned transforms apply (power-of-two mode count
-    dividing the grid).  Otherwise the layers fall back to full transforms
-    plus slicing — numerically identical, just without the work savings."""
-    return is_power_of_two(modes) and modes <= n
-
-
-def _trunc_rfft(x: np.ndarray, modes: int, axis: int) -> np.ndarray:
-    """First ``modes`` bins of the half spectrum.
-
-    Routed through the pruned-R2C plan family
-    (:func:`repro.fft.real.truncated_rfft`) whenever the truncation is
-    genuine (``modes < n//2 + 1``): truncation is fused into the
-    packed-real decomposition, so the discarded bins are never
-    recombined.  Otherwise the full compiled R2C plan runs (and at
-    ``modes == n//2 + 1`` the pruned plan *is* that plan, bit-exactly).
-    """
-    n = x.shape[axis]
-    if is_power_of_two(n) and modes <= n // 2 + 1:
-        return truncated_rfft(x, modes, axis=axis)
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(0, modes)
-    return rfft(x, axis=axis)[tuple(sl)]
-
-
-def _pad_irfft(yk: np.ndarray, n_out: int, axis: int) -> np.ndarray:
-    """Real signal from a truncated half spectrum: ``yk`` supplies the
-    first bins of the ``n_out//2 + 1`` half spectrum.  The pruned C2R
-    plan (:func:`repro.fft.real.padded_irfft`) synthesises straight
-    from the kept bins — neither the Hermitian completion nor the
-    zero-padded half spectrum is ever built."""
-    if is_power_of_two(n_out) and yk.shape[axis] <= n_out // 2 + 1:
-        return padded_irfft(yk, n_out, axis=axis)
-    shape = list(yk.shape)
-    shape[axis] = n_out // 2 + 1
-    padded = np.zeros(shape, dtype=yk.dtype)
-    sl = [slice(None)] * yk.ndim
-    sl[axis] = slice(0, yk.shape[axis])
-    padded[tuple(sl)] = yk
-    return irfft(padded, n_out, axis=axis)
+#: Einsum subscripts of the kept-mode axes, one letter per spatial axis
+#: (``b``/``i``/``o`` are batch and channels): 1-D contracts
+#: ``"bim,iom->bom"``, 2-D ``"bimn,iomn->bomn"``.
+_MODE_LETTERS = "mnpqrstuvw"
 
 
 class Parameter:
@@ -199,11 +168,19 @@ def _init_spectral_weight(
     return (re + 1j * im).astype(np.complex128)
 
 
-class SpectralConv1d(Module):
-    """1-D spectral convolution (the paper's Fourier layer) on real input.
+
+class SpectralConv(Module):
+    """N-D spectral convolution (the paper's Fourier layer) on real
+    ``(batch, C_in, *spatial)`` input, keyed on the ``modes`` tuple —
+    one kept-mode count per spatial axis.
 
     Forward: ``y = Re(iFFT(pad(W * truncate(FFT(x)))))`` with the paper's
-    filter convention (first ``modes`` bins of the C2C transform).
+    filter convention: the first ``modes[a]`` bins of the C2C transform
+    along every axis ``a``, a low-frequency corner.  The rank appears
+    only as loops over the axes, in the order
+    :class:`repro.core.compiled.CompiledSpectralConv` uses: forward
+    transforms leading axes first, inverse transforms the last axis
+    first.
 
     Parameters
     ----------
@@ -212,20 +189,188 @@ class SpectralConv1d(Module):
         matrix per kept mode; ``False`` shares one ``(C_in, C_out)`` matrix
         across modes — the single tall-and-skinny CGEMM the paper
         benchmarks (§3.1), which lets the forward pass dispatch to the
-        fused TurboFNO operator.
+        compiled executor (:class:`~repro.core.compiled.CompiledSpectralConv`):
+        the fused FFT-CGEMM-iFFT dataflow when every axis keeps a
+        power-of-two mode count (the pruned split), else the split step
+        below, numerically identical.
     symmetric:
         ``False`` (default) is the paper's filter: keep the *first*
-        ``modes`` bins of the C2C transform.  ``True`` is the original
-        FNO's convention: the kept low modes are Hermitian-mirrored into
-        the negative frequencies (the rfft/irfft formulation), so the
-        layer is a genuine real->real low-pass operator.  Requires
-        ``modes <= X/2``.  The symmetric path consumes half spectra
-        end-to-end through the compiled packed-real R2C/C2R plans
-        (:mod:`repro.fft.real`) — half the FFT butterfly work of the
-        former full-C2C formulation; ``per_mode=False`` dispatches to
-        the compiled :class:`repro.core.compiled.CompiledSpectralConv1D`
-        symmetric executor (shared-weight CGEMM on the half spectrum).
+        modes of the C2C transform along every axis.  ``True`` is the
+        original FNO's rfft-style convention: the last axis transforms
+        through the compiled packed-real R2C plan (the kept low modes
+        are Hermitian-mirrored into the negative frequencies), each
+        leading axis keeps the paper's first-bins C2C filter, and the
+        output is reconstructed with the C2R inverse — a genuine
+        real->real low-pass operator whose half spectrum is consumed
+        end-to-end.  Requires ``modes[-1] <= spatial[-1] / 2``.  With
+        ``per_mode=False`` the forward pass runs the symmetric executor,
+        fed the spectrum already cached for backward.
     """
+
+    def __init__(
+        self,
+        c_in: int,
+        c_out: int,
+        modes: tuple[int, ...],
+        rng: np.random.Generator,
+        per_mode: bool = True,
+        symmetric: bool = False,
+        name: str = "spectral",
+    ) -> None:
+        modes = tuple(int(m) for m in modes)
+        if not modes or min(c_in, c_out, *modes) <= 0:
+            raise ValueError("channels and modes must be positive")
+        self.c_in = c_in
+        self.c_out = c_out
+        self.modes = modes
+        self.ndim = len(modes)
+        self.per_mode = per_mode
+        self.symmetric = symmetric
+        self.weight = Parameter(
+            _init_spectral_weight(c_in, c_out, modes, per_mode, rng),
+            f"{name}.weight",
+        )
+        corner = _MODE_LETTERS[:self.ndim]
+        w = f"io{corner}" if per_mode else "io"
+        self._apply = f"bi{corner},{w}->bo{corner}"
+        self._grad_w = f"bi{corner},bo{corner}->{w}"
+        self._grad_x = f"bo{corner},{w}->bi{corner}"
+        # (array axis, kept modes) of the leading spatial axes.
+        self._lead = tuple(enumerate(modes[:-1], start=2))
+        self._xk: np.ndarray | None = None
+        self._spatial: tuple[int, ...] = ()
+
+    def _check_spatial(self, spatial: tuple) -> None:
+        _check_modes(self.modes, spatial)
+        if self.symmetric:
+            _check_half_spectrum(self.modes, spatial)
+
+    def _analyze(self, x: np.ndarray) -> np.ndarray:
+        """First-bins pruned C2C along every axis, leading axes first."""
+        for axis, m in enumerate(self.modes, start=2):
+            x = _trunc_fft(x, m, axis=axis)
+        return x
+
+    def _synthesize(self, yk: np.ndarray, spatial: tuple) -> np.ndarray:
+        """Zero-padded pruned C2C inverse along every axis, last first."""
+        for axis in reversed(range(self.ndim)):
+            yk = _pad_ifft(yk, spatial[axis], axis=axis + 2)
+        return yk
+
+    # -- spectral-step split --------------------------------------------
+    # The three stages of the Fourier layer as separate entry points, so
+    # a spectrum-resident rollout (repro.api.Session.rollout) can hand
+    # the truncated spectrum from one step to the next without paying
+    # the inverse/forward transform pair in between.  ``forward`` is
+    # exactly ``from_spectrum(apply_modes(spectrum(x)), spatial)`` on
+    # the non-executor paths.
+
+    def spectrum(self, x: np.ndarray) -> np.ndarray:
+        """Truncated ``(batch, C_in, *modes)`` spectrum corner of ``x``
+        under this layer's convention; raises ``ValueError`` for a
+        geometry :meth:`forward` rejects."""
+        if x.ndim != self.ndim + 2 or x.shape[1] != self.c_in:
+            axes = ", ".join(_axis_letter(a).upper() for a in range(self.ndim))
+            raise ValueError(
+                f"expected (batch, {self.c_in}, {axes}), got {x.shape}"
+            )
+        self._check_spatial(x.shape[2:])
+        if not self.symmetric:
+            return self._analyze(x)
+        xk = truncated_rfft(x, self.modes[-1], axis=-1)
+        for axis, m in self._lead:
+            xk = _trunc_fft(xk, m, axis=axis)
+        # contiguous copy: a leading-axis truncation can return a view
+        # pinning a larger spectrum until backward
+        return np.ascontiguousarray(xk)
+
+    def apply_modes(self, xk: np.ndarray) -> np.ndarray:
+        """Apply the layer weight to a truncated spectrum corner — the
+        step that stays resident in the spectrum across rollout steps."""
+        return np.einsum(self._apply, xk, self.weight.value)
+
+    def from_spectrum(self, yk: np.ndarray, spatial) -> np.ndarray:
+        """Spatial-domain output from a truncated output spectrum;
+        ``spatial`` is the output's spatial shape (a bare int for
+        1-D)."""
+        spatial = _spatial_dims(spatial, self.ndim)
+        self._check_spatial(spatial)
+        if not self.symmetric:
+            return self._synthesize(yk, spatial).real
+        for axis in reversed(range(self.ndim - 1)):
+            yk = _pad_ifft(yk, spatial[axis], axis=axis + 2)
+        return padded_irfft(yk, spatial[-1], axis=-1)
+
+    def reanalyze_spectrum(self, yk: np.ndarray, spatial=None) -> np.ndarray:
+        """The output spectrum corner as the next step's ``spectrum``
+        would see it, with the executor's arguments
+        (:meth:`repro.core.compiled.CompiledSpectralConv.reanalyze_spectrum`;
+        a 1-D layer may omit ``spatial``).  The skipped C2R/R2C pair
+        along the last axis projects its DC plane real in the spatial
+        domain; re-analysis along the leading axes then
+        Hermitian-symmetrises that plane's spectrum
+        (:func:`repro.core.compiled.project_hermitian`).  Only the
+        symmetric convention has a spectrum-resident form — the
+        non-symmetric layer takes ``.real`` in the spatial domain, which
+        mixes every bin."""
+        if not self.symmetric:
+            raise ValueError(
+                f"non-symmetric {type(self).__name__} has no "
+                "spectrum-resident reanalysis (the spatial .real "
+                "projection mixes bins); use the exact rollout profile"
+            )
+        return _reanalyze_symmetric(yk, spatial, self.ndim)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        xk = self.spectrum(x)  # validates the geometry
+        self._xk = xk
+        self._spatial = x.shape[2:]
+        if not self.per_mode and (
+            self.symmetric or all(is_power_of_two(m) for m in self.modes)
+        ):
+            # One CGEMM shared across modes -> the compiled executor.
+            # Built per call: the optimizer mutates the weight buffer
+            # between steps, so held staging would go stale.
+            conv = CompiledSpectralConv(self.weight.value, self.modes,
+                                        symmetric=self.symmetric)
+            y = conv(x, xk_trunc=xk) if self.symmetric else conv(x)
+            return np.ascontiguousarray(y.real)
+        return self.from_spectrum(self.apply_modes(xk), self._spatial)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        if self._xk is None:
+            raise RuntimeError("backward called before forward")
+        spatial = self._spatial
+        if self.symmetric:
+            # y = irfft_last(ifft_lead(pad(yk))) => the last-axis adjoint
+            # doubles every kept bin except DC (it is never mirrored),
+            # each leading axis's is the plain 1/N FFT.
+            g_yk = truncated_rfft(grad, self.modes[-1], axis=-1)
+            g_yk *= 2.0 / spatial[-1]
+            g_yk[..., 0] *= 0.5
+            for axis, m in self._lead:
+                g_yk = _trunc_fft(g_yk, m, axis=axis) / spatial[axis - 2]
+        else:
+            # y = Re(ifft(pad(yk))) => g_yk = truncate(fft(grad)) / N.
+            g_yk = self._analyze(grad) / math.prod(spatial)
+        self.weight.grad += np.einsum(self._grad_w, np.conj(self._xk), g_yk)
+        g_xk = np.einsum(self._grad_x, g_yk, np.conj(self.weight.value))
+        if not self.symmetric:
+            # xk = truncate(fft(x)), x real => g_x = Re(N * ifft(pad(g_xk))).
+            return self._synthesize(g_xk, spatial).real * math.prod(spatial)
+        # xk = fft_lead(rfft_last(x))[kept corner]: adjoint = N * ifft on
+        # each padded leading axis, then the halved-bins C2R inverse * N.
+        for axis in reversed(range(self.ndim - 1)):
+            n = spatial[axis]
+            g_xk = _pad_ifft(g_xk, n, axis=axis + 2) * n
+        g_xk *= 0.5
+        g_xk[..., 0] *= 2.0
+        return padded_irfft(g_xk, spatial[-1], axis=-1) * spatial[-1]
+
+
+class SpectralConv1d(SpectralConv):
+    """1-D spectral convolution: ``modes`` kept bins of ``(batch, C_in,
+    X)`` input (see :class:`SpectralConv`)."""
 
     def __init__(
         self,
@@ -237,152 +382,14 @@ class SpectralConv1d(Module):
         symmetric: bool = False,
         name: str = "spectral1d",
     ) -> None:
-        if min(c_in, c_out, modes) <= 0:
-            raise ValueError("c_in, c_out and modes must be positive")
-        self.c_in = c_in
-        self.c_out = c_out
-        self.modes = modes
-        self.per_mode = per_mode
-        self.symmetric = symmetric
-        self.weight = Parameter(
-            _init_spectral_weight(c_in, c_out, (modes,), per_mode, rng),
-            f"{name}.weight",
-        )
-        self._xk: np.ndarray | None = None
-        self._dim_x: int = 0
-
-    # -- spectral-step split --------------------------------------------
-    # The three stages of the Fourier layer as separate entry points, so
-    # a spectrum-resident rollout (repro.api.Session.rollout) can hand
-    # the truncated spectrum from one step to the next without paying
-    # the inverse/forward transform pair in between.  ``forward`` is
-    # exactly ``from_spectrum(apply_modes(spectrum(x)), X)`` on the
-    # non-executor paths.
-
-    def spectrum(self, x: np.ndarray) -> np.ndarray:
-        """Truncated spectrum of ``x`` under this layer's convention."""
-        if self.symmetric:
-            return np.ascontiguousarray(_trunc_rfft(x, self.modes, axis=-1))
-        return _trunc_fft(x, self.modes, axis=-1)
-
-    def apply_modes(self, xk: np.ndarray) -> np.ndarray:
-        """Apply the layer weight to a truncated spectrum — the step
-        that stays resident in the spectrum across rollout steps."""
-        if self.per_mode:
-            return np.einsum("bim,iom->bom", xk, self.weight.value)
-        return np.einsum("bim,io->bom", xk, self.weight.value)
-
-    def from_spectrum(self, yk: np.ndarray, n_out) -> np.ndarray:
-        """Spatial-domain output from a truncated output spectrum;
-        ``n_out`` is the output length ``X`` or the spatial shape
-        ``(X,)``."""
-        if isinstance(n_out, tuple):
-            (n_out,) = n_out
-        if self.symmetric:
-            return _pad_irfft(yk, n_out, axis=-1)
-        return _pad_ifft(yk, n_out, axis=-1).real
-
-    def reanalyze_spectrum(self, yk: np.ndarray, n_out=0) -> np.ndarray:
-        """The output spectrum as the next step's ``spectrum`` would see
-        it.  The skipped irfft->rfft pair is not the identity: the real
-        synthesis discards Im(DC), so reanalysis projects the DC bin
-        real (:func:`repro.core.compiled.project_hermitian` with no
-        leading axes; ``n_out`` is not needed).  Only the symmetric
-        convention has a spectrum-resident form — the non-symmetric
-        layer takes ``.real`` in the spatial domain, which mixes every
-        bin."""
-        if not self.symmetric:
-            raise ValueError(
-                "non-symmetric SpectralConv1d has no spectrum-resident "
-                "reanalysis (the spatial .real projection mixes bins); "
-                "use the exact rollout profile"
-            )
-        return project_hermitian(yk)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3 or x.shape[1] != self.c_in:
-            raise ValueError(f"expected (batch, {self.c_in}, X), got {x.shape}")
-        dim_x = x.shape[2]
-        if self.modes > dim_x:
-            raise ValueError(f"modes={self.modes} exceeds spatial size {dim_x}")
-        if self.symmetric and self.modes > dim_x // 2:
-            raise ValueError(
-                f"symmetric filtering needs modes <= X/2, got {self.modes} "
-                f"on a length-{dim_x} grid"
-            )
-        self._dim_x = dim_x
-        if self.symmetric:
-            # Original-FNO convention on the half spectrum: the compiled
-            # R2C plan replaces "full C2C then mirror-and-double".  The
-            # copy drops the full-half-spectrum base the slice would
-            # otherwise pin until backward.
-            xk = self.spectrum(x)
-            self._xk = xk
-            if not self.per_mode:
-                # One CGEMM shared across modes -> the compiled
-                # symmetric executor (panel CGEMM on the half spectrum,
-                # fed the spectrum already cached for backward).  Built
-                # per call: the optimizer mutates the weight buffer
-                # between steps, so held staging would go stale — same
-                # tradeoff as the fused functional path below.
-                conv = CompiledSpectralConv1D(
-                    self.weight.value, self.modes, symmetric=True
-                )
-                return np.ascontiguousarray(conv(x, xk_trunc=xk))
-            return self.from_spectrum(self.apply_modes(xk), dim_x)
-        if not self.per_mode and _prunable(dim_x, self.modes):
-            # The paper's formulation: one CGEMM shared across modes ->
-            # use the fused FFT-CGEMM-iFFT dataflow directly.
-            self._xk = self.spectrum(x)
-            y = fused_fft_gemm_ifft_1d(x, self.weight.value, self.modes)
-            return np.ascontiguousarray(y.real)
-        xk = self.spectrum(x)
-        self._xk = xk
-        return self.from_spectrum(self.apply_modes(xk), dim_x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._xk is None:
-            raise RuntimeError("backward called before forward")
-        dim_x = self._dim_x
-        if self.symmetric:
-            # y = irfft(pad(yk)) => g_yk = (2/N) rfft(grad) with the DC
-            # bin un-doubled (it is never mirrored).
-            g_yk = _trunc_rfft(grad, self.modes, axis=-1)
-            g_yk *= 2.0 / dim_x
-            g_yk[..., 0] *= 0.5
-        else:
-            # y = Re(ifft(pad(yk))) => g_yk = truncate(fft(grad)) / N.
-            g_yk = _trunc_fft(grad, self.modes, axis=-1) / dim_x
-        if self.per_mode:
-            self.weight.grad += np.einsum("bim,bom->iom", np.conj(self._xk), g_yk)
-            g_xk = np.einsum("bom,iom->bim", g_yk, np.conj(self.weight.value))
-        else:
-            self.weight.grad += np.einsum("bim,bom->io", np.conj(self._xk), g_yk)
-            g_xk = np.einsum("bom,io->bim", g_yk, np.conj(self.weight.value))
-        if self.symmetric:
-            # xk = rfft(x)[..:m], x real => the R2C adjoint: halve every
-            # bin except DC, then the (unnormalised) C2R inverse.
-            g_xk *= 0.5
-            g_xk[..., 0] *= 2.0
-            return _pad_irfft(g_xk, dim_x, axis=-1) * dim_x
-        # xk = truncate(fft(x)), x real => g_x = Re(N * ifft(pad(g_xk))).
-        g_x = _pad_ifft(g_xk, dim_x, axis=-1).real * dim_x
-        return g_x
+        super().__init__(c_in, c_out, (modes,), rng, per_mode, symmetric,
+                         name)
 
 
-class SpectralConv2d(Module):
-    """2-D spectral convolution on real ``(batch, C_in, X, Y)`` input.
-
-    Same conventions as :class:`SpectralConv1d`, with a rectangular
-    ``modes_x x modes_y`` low-frequency filter.
-
-    ``symmetric=True`` is the rfft2-style half-spectrum convention: the
-    last axis transforms through the compiled R2C plan (Hermitian
-    symmetry along Y), the X axis keeps the paper's first-bins C2C
-    filter, and the output is reconstructed with the C2R inverse — a
-    real->real operator whose half spectrum is consumed end-to-end.
-    Requires ``modes_y <= Y/2``.
-    """
+class SpectralConv2d(SpectralConv):
+    """2-D spectral convolution: a ``modes_x x modes_y`` kept corner of
+    ``(batch, C_in, X, Y)`` input (see :class:`SpectralConv`; symmetric
+    filtering needs ``modes_y <= Y/2``)."""
 
     def __init__(
         self,
@@ -395,133 +402,5 @@ class SpectralConv2d(Module):
         symmetric: bool = False,
         name: str = "spectral2d",
     ) -> None:
-        if min(c_in, c_out, modes_x, modes_y) <= 0:
-            raise ValueError("channels and modes must be positive")
-        self.c_in = c_in
-        self.c_out = c_out
-        self.modes_x = modes_x
-        self.modes_y = modes_y
-        self.per_mode = per_mode
-        self.symmetric = symmetric
-        self.weight = Parameter(
-            _init_spectral_weight(c_in, c_out, (modes_x, modes_y), per_mode, rng),
-            f"{name}.weight",
-        )
-        self._xk: np.ndarray | None = None
-        self._shape: tuple[int, int] = (0, 0)
-
-    def _truncate_fft2(self, x: np.ndarray) -> np.ndarray:
-        if self.symmetric:
-            xk = _trunc_rfft(x, self.modes_y, axis=3)
-            return _trunc_fft(xk, self.modes_x, axis=2)
-        xk = _trunc_fft(x, self.modes_x, axis=2)
-        return _trunc_fft(xk, self.modes_y, axis=3)
-
-    def _pad_ifft2(self, yk: np.ndarray, dim_x: int, dim_y: int) -> np.ndarray:
-        y = _pad_ifft(yk, dim_y, axis=3)
-        return _pad_ifft(y, dim_x, axis=2)
-
-    def _pad_irfft2(self, yk: np.ndarray, dim_x: int, dim_y: int) -> np.ndarray:
-        y = _pad_ifft(yk, dim_x, axis=2)
-        return _pad_irfft(y, dim_y, axis=3)
-
-    # -- spectral-step split (see SpectralConv1d) -----------------------
-
-    def spectrum(self, x: np.ndarray) -> np.ndarray:
-        """Truncated spectrum corner of ``x`` under this layer's
-        convention."""
-        if self.symmetric:
-            # contiguous copy: the fallback truncation path can return a
-            # view pinning the full spectrum until backward
-            return np.ascontiguousarray(self._truncate_fft2(x))
-        return self._truncate_fft2(x)
-
-    def apply_modes(self, xk: np.ndarray) -> np.ndarray:
-        """Apply the layer weight to a truncated spectrum corner."""
-        if self.per_mode:
-            return np.einsum("bimn,iomn->bomn", xk, self.weight.value)
-        return np.einsum("bimn,io->bomn", xk, self.weight.value)
-
-    def from_spectrum(self, yk: np.ndarray, shape) -> np.ndarray:
-        """Spatial-domain output from a truncated output spectrum."""
-        dim_x, dim_y = int(shape[0]), int(shape[1])
-        if self.symmetric:
-            return self._pad_irfft2(yk, dim_x, dim_y)
-        return self._pad_ifft2(yk, dim_x, dim_y).real
-
-    def reanalyze_spectrum(self, yk: np.ndarray, shape) -> np.ndarray:
-        """The output spectrum corner as the next step's ``spectrum``
-        would see it.  The skipped C2R/R2C pair along Y projects the
-        y-DC plane real in the spatial domain; re-analysis along X then
-        Hermitian-symmetrises that column's X-spectrum (over the padded
-        X length, truncated back to the kept corner).  Non-symmetric
-        layers have no spectrum-resident form (spatial ``.real``)."""
-        if not self.symmetric:
-            raise ValueError(
-                "non-symmetric SpectralConv2d has no spectrum-resident "
-                "reanalysis (the spatial .real projection mixes bins); "
-                "use the exact rollout profile"
-            )
-        return project_hermitian(yk, (int(shape[0]),))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise ValueError(f"expected (batch, {self.c_in}, X, Y), got {x.shape}")
-        dim_x, dim_y = x.shape[2], x.shape[3]
-        if self.modes_x > dim_x or self.modes_y > dim_y:
-            raise ValueError("modes exceed the spatial grid")
-        if self.symmetric and self.modes_y > dim_y // 2:
-            raise ValueError(
-                f"symmetric filtering needs modes_y <= Y/2, got "
-                f"{self.modes_y} on a length-{dim_y} grid"
-            )
-        self._shape = (dim_x, dim_y)
-        if self.symmetric:
-            xk = self.spectrum(x)
-            self._xk = xk
-            if not self.per_mode:
-                conv = CompiledSpectralConv2D(
-                    self.weight.value, self.modes_x, self.modes_y,
-                    symmetric=True,
-                )
-                return np.ascontiguousarray(conv(x, xk_trunc=xk))
-            return self.from_spectrum(self.apply_modes(xk), (dim_x, dim_y))
-        if not self.per_mode:
-            self._xk = self.spectrum(x)
-            y = fused_fft_gemm_ifft_2d(x, self.weight.value, self.modes_x,
-                                       self.modes_y)
-            return np.ascontiguousarray(y.real)
-        xk = self.spectrum(x)
-        self._xk = xk
-        return self.from_spectrum(self.apply_modes(xk), (dim_x, dim_y))
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._xk is None:
-            raise RuntimeError("backward called before forward")
-        dim_x, dim_y = self._shape
-        n_total = dim_x * dim_y
-        if self.symmetric:
-            # y = irfft_y(ifft_x(pad(yk))) => the Y adjoint doubles every
-            # kept bin except DC, the X adjoint is the plain 1/X FFT.
-            g_f = _trunc_rfft(grad, self.modes_y, axis=3)
-            g_f *= 2.0 / dim_y
-            g_f[..., 0] *= 0.5
-            g_yk = _trunc_fft(g_f, self.modes_x, axis=2) / dim_x
-        else:
-            g_yk = self._truncate_fft2(grad) / n_total
-        if self.per_mode:
-            self.weight.grad += np.einsum(
-                "bimn,bomn->iomn", np.conj(self._xk), g_yk
-            )
-            g_xk = np.einsum("bomn,iomn->bimn", g_yk, np.conj(self.weight.value))
-        else:
-            self.weight.grad += np.einsum("bimn,bomn->io", np.conj(self._xk), g_yk)
-            g_xk = np.einsum("bomn,io->bimn", g_yk, np.conj(self.weight.value))
-        if self.symmetric:
-            # xk = fft_x(rfft_y(x))[kept corner]: adjoint = X * ifft_x on
-            # the padded corner, then the halved-bins C2R inverse * Y.
-            t = _pad_ifft(g_xk, dim_x, axis=2) * dim_x
-            t *= 0.5
-            t[..., 0] *= 2.0
-            return _pad_irfft(t, dim_y, axis=3) * dim_y
-        return self._pad_ifft2(g_xk, dim_x, dim_y).real * n_total
+        super().__init__(c_in, c_out, (modes_x, modes_y), rng, per_mode,
+                         symmetric, name)

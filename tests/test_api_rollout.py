@@ -169,6 +169,21 @@ class TestFastProfile:
             with pytest.raises(ValueError, match="exact"):
                 s.rollout(layer, x0, steps=2, profile="fast")
 
+    def test_fast_and_exact_refuse_the_same_symmetric_geometry(self, rng):
+        """``spectrum`` validates the geometry exactly as ``forward``
+        does: a symmetric layer keeping more than X/2 modes is refused
+        by both profiles with the same error, never truncated past the
+        half spectrum by the fast one."""
+        layer = SpectralConv1d(2, 2, 6, rng, symmetric=True)
+        x0 = rng.standard_normal((1, 2, 8)).astype(np.float32)
+        messages = []
+        with Session() as s:
+            for profile in ("exact", "fast"):
+                with pytest.raises(ValueError, match="modes <= X/2") as err:
+                    s.rollout(layer, x0, steps=2, profile=profile)
+                messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_refuses_opaque_callable(self, rng):
         model = FNO1d(1, 1, width=8, modes=4, depth=2, seed=0)
         x0 = rng.standard_normal((1, 1, 32)).astype(np.float32)

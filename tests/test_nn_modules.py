@@ -8,7 +8,14 @@ complex spectral weights).
 import numpy as np
 import pytest
 
-from repro.nn.modules import GELU, Dense, Parameter, SpectralConv1d, SpectralConv2d
+from repro.nn.modules import (
+    GELU,
+    Dense,
+    Parameter,
+    SpectralConv,
+    SpectralConv1d,
+    SpectralConv2d,
+)
 
 EPS = 1e-6
 TOL = 1e-5
@@ -151,6 +158,20 @@ class TestSpectralConv2d:
         m = SpectralConv2d(2, 2, 2, 4, rng, per_mode=per_mode)
         _param_gradcheck(m, rng.standard_normal((2, 2, 8, 16)), m.weight, rng)
 
+    @pytest.mark.parametrize("modes", [(3, 3), (4, 3)])
+    @pytest.mark.parametrize("per_mode", [True, False])
+    def test_input_gradient_non_pow2_modes(self, rng, per_mode, modes):
+        """Shared weights with a non-power-of-two mode count on any axis
+        run the split step (the fused executor needs the pruned split)."""
+        m = SpectralConv2d(2, 3, *modes, rng, per_mode=per_mode)
+        _input_gradcheck(m, rng.standard_normal((2, 2, 8, 8)), rng)
+
+    @pytest.mark.parametrize("modes", [(3, 3), (4, 3)])
+    @pytest.mark.parametrize("per_mode", [True, False])
+    def test_weight_gradient_non_pow2_modes(self, rng, per_mode, modes):
+        m = SpectralConv2d(2, 2, *modes, rng, per_mode=per_mode)
+        _param_gradcheck(m, rng.standard_normal((2, 2, 8, 8)), m.weight, rng)
+
     def test_rectangular_modes(self, rng):
         m = SpectralConv2d(2, 5, 2, 8, rng)
         y = m(rng.standard_normal((3, 2, 8, 32)))
@@ -169,3 +190,48 @@ class TestSpectralConv2d:
         assert np.any(m.weight.grad != 0)
         m.zero_grad()
         assert np.all(m.weight.grad == 0)
+
+
+def _fftn_oracle(x, weight, modes, per_mode):
+    """The paper's first-bins layer via numpy.fft.fftn/ifftn: keep the
+    low corner of the full C2C spectrum, zero-pad, take the real part."""
+    axes = tuple(range(2, x.ndim))
+    corner = (Ellipsis,) + tuple(slice(0, m) for m in modes)
+    xk = np.fft.fftn(x, axes=axes)[corner]
+    if per_mode:
+        yk = np.einsum("bimnp,iomnp->bomnp", xk, weight)
+    else:
+        yk = np.einsum("bimnp,io->bomnp", xk, weight)
+    out = np.zeros((x.shape[0], yk.shape[1], *x.shape[2:]), dtype=complex)
+    out[corner] = yk
+    return np.fft.ifftn(out, axes=axes).real
+
+
+class TestSpectralConv3d:
+    """The N-D layer at rank 3: the axis loops need no per-rank code
+    (the symmetric forward oracle is in ``test_nn_symmetric.py``)."""
+
+    @pytest.mark.parametrize("modes", [(4, 2, 2), (3, 2, 4)])
+    @pytest.mark.parametrize("per_mode", [True, False])
+    def test_matches_fftn_oracle(self, rng, per_mode, modes):
+        m = SpectralConv(3, 4, modes, rng, per_mode=per_mode)
+        x = rng.standard_normal((2, 3, 8, 4, 8))
+        ref = _fftn_oracle(x, m.weight.value, modes, per_mode)
+        assert np.allclose(m(x), ref, atol=1e-10)
+
+    @pytest.mark.parametrize("modes", [(4, 2, 2), (3, 2, 4)])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("per_mode", [True, False])
+    def test_input_gradient(self, rng, per_mode, symmetric, modes):
+        m = SpectralConv(2, 3, modes, rng, per_mode=per_mode,
+                         symmetric=symmetric)
+        _input_gradcheck(m, rng.standard_normal((2, 2, 8, 4, 8)), rng)
+
+    @pytest.mark.parametrize("modes", [(4, 2, 2), (3, 2, 4)])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("per_mode", [True, False])
+    def test_weight_gradient(self, rng, per_mode, symmetric, modes):
+        m = SpectralConv(2, 2, modes, rng, per_mode=per_mode,
+                         symmetric=symmetric)
+        _param_gradcheck(m, rng.standard_normal((2, 2, 8, 4, 8)), m.weight,
+                         rng)

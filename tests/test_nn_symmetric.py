@@ -12,7 +12,7 @@ shared-weight CGEMM executor.
 import numpy as np
 import pytest
 
-from repro.nn.modules import SpectralConv1d, SpectralConv2d
+from repro.nn.modules import SpectralConv, SpectralConv1d, SpectralConv2d
 
 
 def _rfft_oracle(x, weight, modes, per_mode):
@@ -428,3 +428,43 @@ class TestPrunedPlanRouting:
                 2 * eps
             )
             assert abs(fd - gx[idx]) / max(abs(fd), 1.0) < 1e-5
+
+
+def _rfftn_oracle(x, weight, modes, per_mode):
+    """The symmetric N-D layer via numpy.fft.rfftn/irfftn: the kept
+    corner of the half spectrum (first bins along the leading axes)."""
+    axes = tuple(range(2, x.ndim))
+    corner = (Ellipsis,) + tuple(slice(0, m) for m in modes)
+    xk = np.fft.rfftn(x, axes=axes)[corner]
+    if per_mode:
+        yk = np.einsum("bimnp,iomnp->bomnp", xk, weight)
+    else:
+        yk = np.einsum("bimnp,io->bomnp", xk, weight)
+    half = (*x.shape[2:-1], x.shape[-1] // 2 + 1)
+    out = np.zeros((x.shape[0], yk.shape[1], *half), dtype=complex)
+    out[corner] = yk
+    return np.fft.irfftn(out, s=x.shape[2:], axes=axes)
+
+
+class TestSymmetric3d:
+    """The symmetric N-D layer at rank 3: R2C/C2R on the last axis,
+    first-bins C2C on each leading one (its finite-difference checks
+    are in ``test_nn_modules.py``)."""
+
+    @pytest.mark.parametrize("modes", [(4, 2, 2), (2, 3, 3)])
+    @pytest.mark.parametrize("per_mode", [True, False])
+    def test_matches_rfftn_oracle(self, rng, per_mode, modes):
+        m = SpectralConv(3, 4, modes, rng, per_mode=per_mode, symmetric=True)
+        x = rng.standard_normal((2, 3, 8, 4, 8))
+        ref = _rfftn_oracle(x, m.weight.value, modes, per_mode)
+        assert np.allclose(m(x), ref, atol=1e-10)
+
+    def test_reanalysis_matches_the_skipped_transform_pair(self, rng):
+        """The spectrum-resident step equals synthesising the output and
+        re-analysing it, at rank 3 as at rank 1 and 2."""
+        m = SpectralConv(2, 2, (4, 2, 2), rng, symmetric=True)
+        x = rng.standard_normal((2, 2, 8, 4, 8))
+        yk = m.apply_modes(m.spectrum(x))
+        ref = m.spectrum(m.from_spectrum(yk, x.shape[2:]))
+        assert np.allclose(m.reanalyze_spectrum(yk, x.shape[2:]), ref,
+                           atol=1e-10)
